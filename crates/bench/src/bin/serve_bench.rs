@@ -2090,7 +2090,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         union.dedup();
         for _ in 0..3 {
             let t0 = Instant::now();
-            std::hint::black_box(engine.forward_union(&union));
+            std::hint::black_box(engine.forward_union(&union, None));
             probe.observe_batch(t0.elapsed(), 0);
         }
     }
@@ -2405,11 +2405,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // queries; 4x headroom keeps healthy traffic green, and the
         // 2x-budget stall makes every faulted query unambiguously bad.
         let probe_us = {
-            std::hint::black_box(faulty.forward_union(&[0]));
+            std::hint::black_box(faulty.forward_union(&[0], None));
             let mut worst = 1u64;
             for s in 0..8u32 {
                 let t0 = Instant::now();
-                std::hint::black_box(faulty.forward_union(&[s]));
+                std::hint::black_box(faulty.forward_union(&[s], None));
                 worst = worst.max(t0.elapsed().as_micros() as u64);
             }
             worst

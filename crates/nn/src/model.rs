@@ -378,11 +378,12 @@ impl GnnModel {
                     })
                     .collect();
                 let compact = crate::plan::partial_forward(
-                    &self.ctx.adj,
+                    &self.ctx,
                     self.cfg.arch,
                     &layers,
                     frontier,
                     x,
+                    None,
                 );
                 gather(&compact, &|s| {
                     frontier

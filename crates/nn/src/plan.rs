@@ -5,11 +5,14 @@
 //! small fraction of the graph, computing each layer only at the frontier
 //! rows is much cheaper than the full-graph forward. [`ForwardPlan`]
 //! captures that per-batch decision, [`PlanConfig`] holds the cost
-//! heuristic, and [`partial_forward`] executes the plan over any layer
-//! stack expressed as [`PlanLayer`] weight views — both
+//! heuristic, and [`eval_layer`] is the one eval-mode layer both plans
+//! run over [`PlanLayer`] weight views — all rows with the full kernels,
+//! or an `(out_set, in_set)` row subset with the `maxk_core::subset`
+//! kernels. [`partial_forward`] drives it down a frontier;
 //! [`crate::GnnModel::forward_planned`] and `maxk-serve`'s
-//! `InferenceEngine` route through it, so the partial layer math lives in
-//! exactly one place.
+//! `InferenceEngine` route through it, so the serving layer math lives in
+//! exactly one place (`Conv::forward` stays separate: it is the training
+//! path and the reference the engine is compared against).
 //!
 //! Partial outputs are **bitwise equal** to the corresponding rows of the
 //! full forward: every step (per-row linear transform, MaxK selection,
@@ -17,9 +20,12 @@
 //! the same floating-point operations in the same order as the full-graph
 //! path, just skipping rows nobody asked for.
 
-use crate::conv::{Activation, Arch};
-use maxk_core::maxk::maxk_forward;
+use crate::conv::{Activation, Arch, GraphContext};
+use maxk_core::maxk::{maxk_backward, maxk_forward};
+use maxk_core::spgemm::spgemm_forward;
+use maxk_core::spmm::spmm_rowwise;
 use maxk_core::subset::{spmm_rows, sspmm_rows};
+use maxk_core::Cbsr;
 use maxk_graph::{Csr, Frontier, GraphError, NodeSet};
 use maxk_tensor::{ops, Matrix};
 use std::time::{Duration, Instant};
@@ -339,7 +345,9 @@ fn positions_in(sub: &NodeSet, sup: &NodeSet) -> Vec<usize> {
 /// `features` is the full-graph input matrix; the result is compact over
 /// `frontier.seeds()` (`seeds().len() × out_dim`), with row `r` bitwise
 /// equal to row `frontier.seeds().ids()[r]` of the full-graph eval
-/// forward.
+/// forward. When `timer` is present, every kernel call is recorded as a
+/// `(layer, `[`KernelKind`]`)` lap; the computation is identical either
+/// way (the timer only wraps calls in wall-clock reads).
 ///
 /// # Panics
 ///
@@ -347,26 +355,7 @@ fn positions_in(sub: &NodeSet, sup: &NodeSet) -> Vec<usize> {
 /// when `arch`/`self_path` presence are inconsistent.
 #[must_use]
 pub fn partial_forward(
-    adj: &Csr,
-    arch: Arch,
-    layers: &[PlanLayer<'_>],
-    frontier: &Frontier,
-    features: &Matrix,
-) -> Matrix {
-    partial_forward_timed(adj, arch, layers, frontier, features, None)
-}
-
-/// [`partial_forward`] with optional per-layer kernel timing: when
-/// `timer` is present, every kernel call is recorded as a
-/// `(layer, `[`KernelKind`]`)` lap. The computation is identical either
-/// way (the timer only wraps calls in wall-clock reads).
-///
-/// # Panics
-///
-/// Same conditions as [`partial_forward`].
-#[must_use]
-pub fn partial_forward_timed(
-    adj: &Csr,
+    ctx: &GraphContext,
     arch: Arch,
     layers: &[PlanLayer<'_>],
     frontier: &Frontier,
@@ -380,7 +369,7 @@ pub fn partial_forward_timed(
     );
     assert_eq!(
         features.rows(),
-        adj.num_nodes(),
+        ctx.adj.num_nodes(),
         "feature rows must match graph nodes"
     );
     let hops = layers.len();
@@ -394,61 +383,83 @@ pub fn partial_forward_timed(
         })
     };
     for (l, layer) in layers.iter().enumerate() {
-        let in_set = frontier.level(hops - l);
-        let out_set = frontier.level(hops - l - 1);
+        let rows = (frontier.level(hops - l - 1), frontier.level(hops - l));
         let slot = timer.as_deref_mut().map(|t| (t, l));
-        x = partial_layer(adj, arch, layer, &x, out_set, in_set, slot);
+        x = eval_layer(ctx, arch, layer, &x, Some(rows), slot);
     }
     x
 }
 
-/// One layer of the partial forward: mirrors the eval-mode `Conv::forward`
-/// / `InferLayer::forward` dataflow restricted to `out_set` rows.
-fn partial_layer(
-    adj: &Csr,
+/// One eval-mode layer — the only copy of the arch × activation dataflow
+/// that serving runs, for full and partial plans alike. It mirrors
+/// `Conv::forward` with `train = false` (same kernels in the same order,
+/// so logits are bit-identical to the training model's eval pass).
+///
+/// `rows = None` computes every graph row from a full-graph `x` with the
+/// full kernels (`spgemm_forward` over the Edge-Group partition,
+/// `spmm_rowwise`). `rows = Some((out_set, in_set))` computes only the
+/// `out_set` rows from an `x` compact over `in_set`, through the
+/// `maxk_core::subset` kernels. The two differ only in the aggregation
+/// kernel and in restricting the self/residual operand to the output
+/// rows; everything else is shared. When `timer` is set, each kernel call
+/// is timed as a [`KernelKind`] lap against the carried layer index.
+///
+/// # Panics
+///
+/// Panics when shapes disagree, when `arch`/`self_path` presence are
+/// inconsistent, or when `out_set` is not a subset of `in_set`.
+#[must_use]
+pub fn eval_layer(
+    ctx: &GraphContext,
     arch: Arch,
     layer: &PlanLayer<'_>,
     x: &Matrix,
-    out_set: &NodeSet,
-    in_set: &NodeSet,
+    rows: Option<(&NodeSet, &NodeSet)>,
     mut timer: Option<(&mut ForwardTimer, usize)>,
 ) -> Matrix {
-    // Linear transform at every input node (each feeds some output row).
+    // Combination phase: the linear transform at every input row (on a
+    // partial plan each one feeds some output row).
     let z = timed_lap(&mut timer, KernelKind::DenseLinear, || {
         let mut z = ops::matmul(x, layer.neigh_weight);
         ops::add_bias(&mut z, layer.neigh_bias);
         z
     });
 
-    let out_positions = positions_in(out_set, in_set);
+    // Aggregation phase.
+    let spmm = |h: &Matrix| match rows {
+        None => spmm_rowwise(&ctx.adj, h),
+        Some((out_set, in_set)) => spmm_rows(&ctx.adj, h, out_set, in_set),
+    };
     let mut pattern = None;
     let mut y = match layer.activation {
         Some(Activation::MaxK(k)) => {
             let hs = timed_lap(&mut timer, KernelKind::MaxK, || {
                 maxk_forward(&z, k).expect("k validated at model construction")
             });
-            let y = timed_lap(&mut timer, KernelKind::SSpMM, || {
-                sspmm_rows(adj, &hs, out_set, in_set)
+            let y = timed_lap(&mut timer, KernelKind::SSpMM, || match rows {
+                None => spgemm_forward(&ctx.adj, &hs, &ctx.part),
+                Some((out_set, in_set)) => sspmm_rows(&ctx.adj, &hs, out_set, in_set),
             });
             pattern = Some(hs);
             y
         }
-        Some(Activation::Relu) => timed_lap(&mut timer, KernelKind::SpMM, || {
-            spmm_rows(adj, &ops::relu(&z), out_set, in_set)
-        }),
-        None => timed_lap(&mut timer, KernelKind::SpMM, || {
-            spmm_rows(adj, &z, out_set, in_set)
-        }),
+        Some(Activation::Relu) => timed_lap(&mut timer, KernelKind::SpMM, || spmm(&ops::relu(&z))),
+        None => timed_lap(&mut timer, KernelKind::SpMM, || spmm(&z)),
     };
 
+    // Where each output row sits in the input ordering (`None` on the
+    // full path, where the two coincide and nothing is gathered).
+    let out_positions = rows.map(|(out_set, in_set)| positions_in(out_set, in_set));
     match arch {
         Arch::Sage => {
             let (w, b) = layer.self_path.expect("SAGE has a self linear");
-            let x_out = timed_lap(&mut timer, KernelKind::Gather, || {
-                gather_rows_at(x, out_positions.iter().copied())
+            let x_out = out_positions.as_ref().map(|pos| {
+                timed_lap(&mut timer, KernelKind::Gather, || {
+                    gather_rows_at(x, pos.iter().copied())
+                })
             });
             timed_lap(&mut timer, KernelKind::DenseLinear, || {
-                let mut self_y = ops::matmul(&x_out, w);
+                let mut self_y = ops::matmul(x_out.as_ref().unwrap_or(x), w);
                 ops::add_bias(&mut self_y, b);
                 ops::add_assign(&mut y, &self_y);
             });
@@ -457,33 +468,26 @@ fn partial_layer(
             let scale = 1.0 + layer.eps;
             match (&layer.activation, &pattern) {
                 (Some(Activation::MaxK(_)), Some(hs)) => {
-                    // Row-subset maxk_backward: scatter the out rows'
-                    // pattern densely, then scale+add like the full path.
                     timed_lap(&mut timer, KernelKind::MaxK, || {
-                        let k = hs.k();
-                        let mut d = Matrix::zeros(out_set.len(), hs.dim_origin());
-                        for (r, &c) in out_positions.iter().enumerate() {
-                            let row = d.row_mut(r);
-                            for t in 0..k {
-                                row[hs.index_at(c, t)] = hs.row_data(c)[t];
-                            }
-                        }
+                        let mut d = match &out_positions {
+                            None => maxk_backward(hs),
+                            Some(pos) => scatter_pattern_rows(hs, pos),
+                        };
                         ops::scale_assign(&mut d, scale);
                         ops::add_assign(&mut y, &d);
                     });
                 }
-                (Some(Activation::Relu), _) => {
+                (activation, _) => {
                     timed_lap(&mut timer, KernelKind::DenseLinear, || {
-                        let mut h = ops::relu(&gather_rows_at(&z, out_positions.iter().copied()));
+                        let z_out = out_positions
+                            .as_ref()
+                            .map(|pos| gather_rows_at(&z, pos.iter().copied()));
+                        let mut h = match activation {
+                            Some(Activation::Relu) => ops::relu(z_out.as_ref().unwrap_or(&z)),
+                            _ => z_out.unwrap_or_else(|| z.clone()),
+                        };
                         ops::scale_assign(&mut h, scale);
                         ops::add_assign(&mut y, &h);
-                    });
-                }
-                _ => {
-                    timed_lap(&mut timer, KernelKind::DenseLinear, || {
-                        let mut zz = gather_rows_at(&z, out_positions.iter().copied());
-                        ops::scale_assign(&mut zz, scale);
-                        ops::add_assign(&mut y, &zz);
                     });
                 }
             }
@@ -491,6 +495,19 @@ fn partial_layer(
         Arch::Gcn => {}
     }
     y
+}
+
+/// Row-subset `maxk_backward`: scatters the CBSR pattern rows at
+/// `positions` densely into a `positions.len() × dim_origin` matrix.
+fn scatter_pattern_rows(hs: &Cbsr, positions: &[usize]) -> Matrix {
+    let mut d = Matrix::zeros(positions.len(), hs.dim_origin());
+    for (r, &c) in positions.iter().enumerate() {
+        let row = d.row_mut(r);
+        for t in 0..hs.k() {
+            row[hs.index_at(c, t)] = hs.row_data(c)[t];
+        }
+    }
+    d
 }
 
 #[cfg(test)]

@@ -319,13 +319,6 @@ impl LogitCache {
         None
     }
 
-    /// Counts `n` misses without claiming leadership — for callers (the
-    /// sharded router's probe-before-scatter) that compute missing rows
-    /// through their own path and fill with [`LogitCache::fill_rows`].
-    pub fn record_misses(&self, n: u64) {
-        self.lock().misses += n;
-    }
-
     /// Arbitrates a batch's missing seeds into hits, a leader set and
     /// follower handles.
     ///
@@ -397,11 +390,10 @@ impl LogitCache {
     /// [`LogitCache::invalidate_seeds`] racing the caller's computation
     /// has nothing to poison, and the stale rows would land after it.
     /// Serving paths that compute rows outside [`LogitCache::claim`]
-    /// (the sharded router's probe/scatter/fill, the server's
-    /// aborted-leader fallback) must register with
+    /// (the server's aborted-leader fallback) must register with
     /// [`LogitCache::lead_uncounted`] *before* computing and publish via
-    /// [`LeadClaim::fill`] instead. Live seeds under another in-flight
-    /// leader are skipped rather than clobbered.
+    /// [`LeadClaim::fill_from`] instead. Live seeds under another
+    /// in-flight leader are skipped rather than clobbered.
     ///
     /// # Panics
     ///
@@ -434,21 +426,22 @@ impl LogitCache {
     /// compute rows through their own forward path but still need the
     /// dynamic invalidation protocol to see the computation in flight.
     /// No hit/miss/coalesced counters move — the caller already
-    /// accounted its instances (via [`LogitCache::probe`] /
-    /// [`LogitCache::record_misses`] or as part of a batch answer).
+    /// accounted its instances (as coalesced followers of the leader
+    /// that aborted).
     ///
     /// Call **before** starting the computation, then publish through
-    /// [`LeadClaim::fill`]: a mutation's
+    /// [`LeadClaim::fill_from`]: a mutation's
     /// [`LogitCache::invalidate_seeds`] poisons the registered slots
-    /// mid-computation, and `fill` then skips the stale rows instead of
-    /// landing pre-mutation bits — the race the raw
+    /// mid-computation, and the fill then skips the stale rows instead
+    /// of landing pre-mutation bits — the race the raw
     /// [`LogitCache::fill_rows`] hook cannot close.
     ///
     /// Seeds already resident are re-led (under one `(generation,
     /// graph_version)` identity a recomputation is bitwise-identical,
     /// so the refresh is harmless); seeds already led by another
     /// in-flight claim are skipped (that leader owns the slot) and do
-    /// not appear in [`LeadClaim::seeds`].
+    /// not appear in [`LeadClaim::seeds`] — which is why the caller's
+    /// computed rows can outnumber the led ones.
     pub fn lead_uncounted(
         self: &Arc<Self>,
         generation: SnapshotGeneration,
@@ -585,9 +578,36 @@ impl LeadClaim {
     /// # Panics
     ///
     /// Panics when `rows` has fewer rows than led seeds.
-    pub fn fill(mut self, rows: &Matrix) -> Vec<(u32, Arc<[f32]>)> {
+    pub fn fill(self, rows: &Matrix) -> Vec<(u32, Arc<[f32]>)> {
+        assert!(
+            rows.rows() >= self.entries.len(),
+            "fewer rows than led seeds"
+        );
+        self.publish(|i, _| rows.row(i))
+    }
+
+    /// [`LeadClaim::fill`] from a computation that covers **more** than
+    /// this claim leads: `rows.row(i)` belongs to `computed[i]`
+    /// (ascending), and only the still-led seeds' rows are published.
+    /// The rest — seeds [`LogitCache::lead_uncounted`] skipped because
+    /// another in-flight claim owns them — stay with their own leader.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a led seed is not in `computed`.
+    pub fn fill_from(self, computed: &[u32], rows: &Matrix) -> Vec<(u32, Arc<[f32]>)> {
+        self.publish(|_, seed| {
+            rows.row(
+                computed
+                    .binary_search(&seed)
+                    .expect("led seed was computed"),
+            )
+        })
+    }
+
+    /// Publishes `row_of(position, seed)` for every led seed.
+    fn publish<'r>(mut self, row_of: impl Fn(usize, u32) -> &'r [f32]) -> Vec<(u32, Arc<[f32]>)> {
         let entries = std::mem::take(&mut self.entries);
-        assert!(rows.rows() >= entries.len(), "fewer rows than led seeds");
         let mut out = Vec::with_capacity(entries.len());
         let mut store = self.cache.lock();
         for (i, (seed, inflight)) in entries.into_iter().enumerate() {
@@ -596,7 +616,7 @@ impl LeadClaim {
                 graph_version: self.graph_version,
                 seed,
             };
-            let row: Arc<[f32]> = Arc::from(rows.row(i));
+            let row: Arc<[f32]> = Arc::from(row_of(i, seed));
             // A poisoned slot was invalidated mid-computation: the row is
             // stale for the resident store, but followers (and the leader
             // itself) still answer with it under the epoch it was
@@ -990,6 +1010,36 @@ mod tests {
         lead.fill(&row_matrix(&[&[6.0]]));
         assert_eq!(&cache.probe(g, v, 5).unwrap()[..], &[5.0]);
         assert_eq!(&cache.probe(g, v, 6).unwrap()[..], &[6.0]);
+    }
+
+    #[test]
+    fn fill_from_publishes_only_the_still_led_rows() {
+        let (g, v) = ids();
+        let cache = Arc::new(LogitCache::new(CacheConfig { capacity: 8 }));
+        // A live leader owns seed 6, with a follower parked on it.
+        let owner = cache.claim(g, v, &[(6, 1)]);
+        let parked = cache.claim(g, v, &[(6, 1)]);
+        let books = cache.snapshot();
+        let lead = cache.lead_uncounted(g, v, &[5, 6, 7]);
+        assert_eq!(lead.seeds(), vec![5, 7], "seed 6 stays with its leader");
+        // The recompute covered all three seeds; only 5 and 7 land.
+        let filled = lead.fill_from(&[5, 6, 7], &row_matrix(&[&[5.5], &[-6.0], &[7.5]]));
+        assert_eq!(filled.len(), 2);
+        assert_eq!(cache.snapshot().resident_rows, 2);
+        // Seed 6's follower is still parked on its own leader and gets
+        // that leader's bits, not the recompute's.
+        owner.lead.fill(&row_matrix(&[&[6.25]]));
+        let (_, handle) = parked.follows.into_iter().next().unwrap();
+        assert_eq!(&handle.wait().expect("owner filled")[..], &[6.25]);
+        // No hit/miss/coalesced books moved along the way.
+        let after = cache.snapshot();
+        assert_eq!(
+            (after.hits, after.misses, after.coalesced),
+            (books.hits, books.misses, books.coalesced)
+        );
+        assert_eq!(&cache.probe(g, v, 5).unwrap()[..], &[5.5]);
+        assert_eq!(&cache.probe(g, v, 6).unwrap()[..], &[6.25]);
+        assert_eq!(&cache.probe(g, v, 7).unwrap()[..], &[7.5]);
     }
 
     #[test]

@@ -16,17 +16,13 @@
 
 use crate::telemetry::Telemetry;
 use crate::ServeError;
-use maxk_core::maxk::{maxk_backward, maxk_forward};
-use maxk_core::spgemm::spgemm_forward;
-use maxk_core::spmm::spmm_rowwise;
 use maxk_graph::{Csr, Frontier, NodeSet};
 use maxk_nn::plan::{
-    partial_forward_timed, timed_lap, ForwardPlan, ForwardTimer, KernelKind, LayerCost, PlanConfig,
-    PlanLayer,
+    eval_layer, partial_forward, ForwardPlan, ForwardTimer, LayerCost, PlanConfig, PlanLayer,
 };
 use maxk_nn::snapshot::ModelSnapshot;
 use maxk_nn::{Activation, Arch, GraphContext, GraphVersion, SnapshotGeneration};
-use maxk_tensor::{ops, Matrix};
+use maxk_tensor::Matrix;
 use std::time::Instant;
 
 /// One inference layer: immutable weights plus the layer activation.
@@ -40,79 +36,15 @@ struct InferLayer {
 }
 
 impl InferLayer {
-    /// Eval-mode forward, mirroring `Conv::forward` with `train = false`
-    /// (same kernels in the same order, so logits are bit-identical to the
-    /// training model's eval pass). When `timer` is set, each kernel call
-    /// is timed as a [`KernelKind`] lap against the carried layer index.
-    fn forward(
-        &self,
-        ctx: &GraphContext,
-        arch: Arch,
-        x: &Matrix,
-        mut timer: Option<(&mut ForwardTimer, usize)>,
-    ) -> Matrix {
-        let z = timed_lap(&mut timer, KernelKind::DenseLinear, || {
-            let mut z = ops::matmul(x, &self.neigh_weight);
-            ops::add_bias(&mut z, &self.neigh_bias);
-            z
-        });
-
-        let mut pattern = None;
-        let mut y = match self.activation {
-            Some(Activation::MaxK(k)) => {
-                let hs = timed_lap(&mut timer, KernelKind::MaxK, || {
-                    maxk_forward(&z, k).expect("k validated at engine construction")
-                });
-                let y = timed_lap(&mut timer, KernelKind::SSpMM, || {
-                    spgemm_forward(&ctx.adj, &hs, &ctx.part)
-                });
-                pattern = Some(hs);
-                y
-            }
-            Some(Activation::Relu) => timed_lap(&mut timer, KernelKind::SpMM, || {
-                spmm_rowwise(&ctx.adj, &ops::relu(&z))
-            }),
-            None => timed_lap(&mut timer, KernelKind::SpMM, || spmm_rowwise(&ctx.adj, &z)),
-        };
-
-        match arch {
-            Arch::Sage => {
-                let (w, b) = self.self_path.as_ref().expect("SAGE has a self linear");
-                timed_lap(&mut timer, KernelKind::DenseLinear, || {
-                    let mut self_y = ops::matmul(x, w);
-                    ops::add_bias(&mut self_y, b);
-                    ops::add_assign(&mut y, &self_y);
-                });
-            }
-            Arch::Gin => {
-                let scale = 1.0 + self.eps;
-                match (&self.activation, &pattern) {
-                    (Some(Activation::MaxK(_)), Some(hs)) => {
-                        timed_lap(&mut timer, KernelKind::MaxK, || {
-                            let mut d = maxk_backward(hs);
-                            ops::scale_assign(&mut d, scale);
-                            ops::add_assign(&mut y, &d);
-                        });
-                    }
-                    (Some(Activation::Relu), _) => {
-                        timed_lap(&mut timer, KernelKind::DenseLinear, || {
-                            let mut h = ops::relu(&z);
-                            ops::scale_assign(&mut h, scale);
-                            ops::add_assign(&mut y, &h);
-                        });
-                    }
-                    _ => {
-                        timed_lap(&mut timer, KernelKind::DenseLinear, || {
-                            let mut zz = z.clone();
-                            ops::scale_assign(&mut zz, scale);
-                            ops::add_assign(&mut y, &zz);
-                        });
-                    }
-                }
-            }
-            Arch::Gcn => {}
+    /// The borrowed weight view [`eval_layer`] runs over.
+    fn view(&self) -> PlanLayer<'_> {
+        PlanLayer {
+            activation: self.activation,
+            eps: self.eps,
+            neigh_weight: &self.neigh_weight,
+            neigh_bias: &self.neigh_bias,
+            self_path: self.self_path.as_ref().map(|(w, b)| (w, b.as_slice())),
         }
-        y
     }
 }
 
@@ -149,29 +81,29 @@ impl BatchLogits {
         self.seeds.is_some()
     }
 
-    /// The raw logit matrix (full-graph, or compact over the plan seeds).
-    pub fn logits(&self) -> &Matrix {
-        &self.logits
+    /// The logit row of `seed`, or `None` when the seed was not part of
+    /// the plan this batch ran under (partial plans only cover their
+    /// seed union; full-graph logits cover every node).
+    pub fn row(&self, seed: u32) -> Option<&[f32]> {
+        let r = match &self.seeds {
+            None => seed as usize,
+            Some(set) => set.compact(seed)?,
+        };
+        Some(self.logits.row(r))
     }
 
     /// Copies the logit rows for `seeds` in request order.
     ///
     /// # Panics
     ///
-    /// Panics when a seed was not part of the plan this batch ran under
-    /// (partial plans only cover their seed union).
+    /// Panics when a seed is not covered (see [`BatchLogits::row`]).
     pub fn gather(&self, seeds: &[u32]) -> Matrix {
-        match &self.seeds {
-            None => gather_rows(&self.logits, seeds),
-            Some(set) => {
-                let mut out = Matrix::zeros(seeds.len(), self.logits.cols());
-                for (i, &s) in seeds.iter().enumerate() {
-                    let c = set.compact(s).expect("seed covered by the batch plan");
-                    out.row_mut(i).copy_from_slice(self.logits.row(c));
-                }
-                out
-            }
+        let mut out = Matrix::zeros(seeds.len(), self.logits.cols());
+        for (i, &s) in seeds.iter().enumerate() {
+            let row = self.row(s).expect("seed covered by the batch plan");
+            out.row_mut(i).copy_from_slice(row);
         }
+        out
     }
 }
 
@@ -380,21 +312,35 @@ impl InferenceEngine {
     /// amortizes a mandatory recomputation.
     #[must_use]
     pub fn forward_all(&self) -> Matrix {
-        self.forward_all_timed(None)
+        self.forward(None, None)
     }
 
-    /// [`InferenceEngine::forward_all`] with optional per-layer kernel
-    /// timing: every kernel call lands as a `(layer, kernel, duration)`
-    /// lap in `timer`.
-    #[must_use]
-    pub fn forward_all_timed(&self, mut timer: Option<&mut ForwardTimer>) -> Matrix {
+    /// The eval forward both plans run: every layer through
+    /// [`eval_layer`], over all rows (`frontier = None`; the result is
+    /// full-graph) or over the frontier's row subsets (the result is
+    /// compact over `frontier.seeds()`). When `timer` is set every kernel
+    /// call lands in it as a `(layer, kernel, duration)` lap.
+    fn forward(&self, frontier: Option<&Frontier>, mut timer: Option<&mut ForwardTimer>) -> Matrix {
+        if let Some(frontier) = frontier {
+            let layers: Vec<PlanLayer<'_>> = self.layers.iter().map(InferLayer::view).collect();
+            return partial_forward(
+                &self.ctx,
+                self.arch,
+                &layers,
+                frontier,
+                &self.features,
+                timer,
+            );
+        }
         // check_consistency guarantees >= 2 layers, so the first-layer
         // borrow avoids cloning the full feature matrix per forward.
-        let slot = timer.as_deref_mut().map(|t| (t, 0));
-        let mut h = self.layers[0].forward(&self.ctx, self.arch, &self.features, slot);
-        for (l, layer) in self.layers.iter().enumerate().skip(1) {
+        let mut layer = |l: usize, x: &Matrix| {
             let slot = timer.as_deref_mut().map(|t| (t, l));
-            h = layer.forward(&self.ctx, self.arch, &h, slot);
+            eval_layer(&self.ctx, self.arch, &self.layers[l].view(), x, None, slot)
+        };
+        let mut h = layer(0, &self.features);
+        for l in 1..self.layers.len() {
+            h = layer(l, &h);
         }
         h
     }
@@ -421,8 +367,15 @@ impl InferenceEngine {
     }
 
     /// Executes a plan: one full forward, or a partial forward over the
-    /// plan's frontier. Either way the returned [`BatchLogits`] gathers
-    /// bitwise-identical rows for every seed the plan covers.
+    /// plan's frontier (every layer on the frontier's row subsets via the
+    /// `maxk_core::subset` kernels). Either way the returned
+    /// [`BatchLogits`] gathers bitwise-identical rows for every seed the
+    /// plan covers.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a partial plan's frontier depth does not match the
+    /// model.
     #[must_use]
     pub fn forward_planned(&self, plan: &ForwardPlan) -> BatchLogits {
         self.forward_planned_timed(plan, None)
@@ -436,58 +389,10 @@ impl InferenceEngine {
         plan: &ForwardPlan,
         timer: Option<&mut ForwardTimer>,
     ) -> BatchLogits {
-        match plan {
-            ForwardPlan::Full => BatchLogits {
-                logits: self.forward_all_timed(timer),
-                seeds: None,
-            },
-            ForwardPlan::Partial(frontier) => BatchLogits {
-                logits: self.forward_partial_timed(frontier, timer),
-                seeds: Some(frontier.seeds().clone()),
-            },
+        BatchLogits {
+            logits: self.forward(plan.frontier(), timer),
+            seeds: plan.frontier().map(|f| f.seeds().clone()),
         }
-    }
-
-    /// Seed-restricted forward: computes logits only at
-    /// `frontier.seeds()` (compact order), running every layer on the
-    /// frontier's row subsets via the `maxk_core::subset` kernels.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the frontier depth does not match the model.
-    #[must_use]
-    pub fn forward_partial(&self, frontier: &Frontier) -> Matrix {
-        self.forward_partial_timed(frontier, None)
-    }
-
-    /// [`InferenceEngine::forward_partial`] with optional per-layer kernel
-    /// timing over the subset kernels (SSpMM/SpMM-on-rows laps instead of
-    /// the full-graph ones).
-    #[must_use]
-    pub fn forward_partial_timed(
-        &self,
-        frontier: &Frontier,
-        timer: Option<&mut ForwardTimer>,
-    ) -> Matrix {
-        let layers: Vec<PlanLayer<'_>> = self
-            .layers
-            .iter()
-            .map(|l| PlanLayer {
-                activation: l.activation,
-                eps: l.eps,
-                neigh_weight: &l.neigh_weight,
-                neigh_bias: &l.neigh_bias,
-                self_path: l.self_path.as_ref().map(|(w, b)| (w, b.as_slice())),
-            })
-            .collect();
-        partial_forward_timed(
-            &self.ctx.adj,
-            self.arch,
-            &layers,
-            frontier,
-            &self.features,
-            timer,
-        )
     }
 
     /// Convenience single-query path: plans the forward with the cost
@@ -511,8 +416,7 @@ impl InferenceEngine {
     /// Same conditions as [`InferenceEngine::logits_for`].
     pub fn logits_full(&self, seeds: &[u32]) -> Result<Matrix, ServeError> {
         check_seeds(seeds, self.num_nodes())?;
-        let all = self.forward_all();
-        Ok(gather_rows(&all, seeds))
+        Ok(self.forward_planned(&ForwardPlan::Full).gather(seeds))
     }
 
     /// Forces the seed-restricted path regardless of the cost heuristic
@@ -526,11 +430,8 @@ impl InferenceEngine {
         check_seeds(seeds, self.num_nodes())?;
         let frontier = Frontier::reverse_hops(&self.ctx.adj, seeds, self.layers.len())
             .map_err(|e| ServeError::BadModel(e.to_string()))?;
-        let out = BatchLogits {
-            logits: self.forward_partial(&frontier),
-            seeds: Some(frontier.seeds().clone()),
-        };
-        Ok(out.gather(seeds))
+        let plan = ForwardPlan::Partial(frontier);
+        Ok(self.forward_planned(&plan).gather(seeds))
     }
 }
 
@@ -611,23 +512,13 @@ pub trait BatchEngine: Send + Sync {
     /// `union` is validated, sorted and deduplicated by the caller; the
     /// returned logits must gather bitwise-identical rows to a full-graph
     /// forward for every seed in it.
-    fn forward_union(&self, union: &[u32]) -> BatchOutcome;
-
-    /// [`BatchEngine::forward_union`] with telemetry: when `obs` carries
-    /// the server's [`Telemetry`] hub and the batch id, the engine
-    /// records plan time, forward wall time and (when
+    ///
+    /// When `obs` carries the server's [`Telemetry`] hub and the batch
+    /// id, the engine also records plan time, forward wall time and (when
     /// [`crate::TelemetryConfig::kernel_timing`] is on) per-layer kernel
     /// laps into the hub's registry, plus batch-level spans when span
-    /// recording is enabled. The default implementation ignores `obs` —
-    /// results are identical either way.
-    fn forward_union_observed(
-        &self,
-        union: &[u32],
-        obs: Option<(&Telemetry, u64)>,
-    ) -> BatchOutcome {
-        let _ = obs;
-        self.forward_union(union)
-    }
+    /// recording is enabled — results are identical either way.
+    fn forward_union(&self, union: &[u32], obs: Option<(&Telemetry, u64)>) -> BatchOutcome;
 }
 
 impl BatchEngine for InferenceEngine {
@@ -651,47 +542,33 @@ impl BatchEngine for InferenceEngine {
         InferenceEngine::graph_version(self)
     }
 
-    fn forward_union(&self, union: &[u32]) -> BatchOutcome {
+    fn forward_union(&self, union: &[u32], obs: Option<(&Telemetry, u64)>) -> BatchOutcome {
+        let plan_start = Instant::now();
         // Seeds were validated upstream, so planning only fails on
         // internal inconsistency — fall back to the full forward.
         let plan = self.plan_for(union).unwrap_or(ForwardPlan::Full);
-        let partial = plan.is_partial();
-        BatchOutcome {
-            logits: self.forward_planned(&plan),
-            shards: vec![(0, partial)],
-        }
-    }
-
-    fn forward_union_observed(
-        &self,
-        union: &[u32],
-        obs: Option<(&Telemetry, u64)>,
-    ) -> BatchOutcome {
-        let Some((tel, batch_id)) = obs else {
-            return self.forward_union(union);
-        };
-        let plan_start = Instant::now();
-        let plan = self.plan_for(union).unwrap_or(ForwardPlan::Full);
         let plan_dur = plan_start.elapsed();
-        tel.record_plan(plan_dur);
-        if tel.spans_enabled() {
-            tel.push_span("plan", batch_id, plan_start, plan_dur, union.len() as u64);
-        }
         let partial = plan.is_partial();
         let path = if partial { "partial" } else { "full" };
         let fwd_start = Instant::now();
-        let logits = if tel.config().kernel_timing {
-            let mut timer = ForwardTimer::new();
-            let out = self.forward_planned_timed(&plan, Some(&mut timer));
-            tel.record_kernel_laps(path, timer.laps());
-            out
-        } else {
-            self.forward_planned(&plan)
+        let logits = match obs {
+            Some((tel, _)) if tel.config().kernel_timing => {
+                let mut timer = ForwardTimer::new();
+                let out = self.forward_planned_timed(&plan, Some(&mut timer));
+                tel.record_kernel_laps(path, timer.laps());
+                out
+            }
+            _ => self.forward_planned(&plan),
         };
-        let fwd_dur = fwd_start.elapsed();
-        tel.record_forward(path, fwd_dur);
-        if tel.spans_enabled() {
-            tel.push_span("forward", batch_id, fwd_start, fwd_dur, union.len() as u64);
+        if let Some((tel, batch_id)) = obs {
+            let fwd_dur = fwd_start.elapsed();
+            tel.record_plan(plan_dur);
+            tel.record_forward(path, fwd_dur);
+            if tel.spans_enabled() {
+                let seeds = union.len() as u64;
+                tel.push_span("plan", batch_id, plan_start, plan_dur, seeds);
+                tel.push_span("forward", batch_id, fwd_start, fwd_dur, seeds);
+            }
         }
         BatchOutcome {
             logits,
@@ -782,18 +659,9 @@ impl<E: BatchEngine> BatchEngine for FaultInjector<E> {
         self.inner.bind_recorder(recorder);
     }
 
-    fn forward_union(&self, union: &[u32]) -> BatchOutcome {
+    fn forward_union(&self, union: &[u32], obs: Option<(&Telemetry, u64)>) -> BatchOutcome {
         self.stall();
-        self.inner.forward_union(union)
-    }
-
-    fn forward_union_observed(
-        &self,
-        union: &[u32],
-        obs: Option<(&Telemetry, u64)>,
-    ) -> BatchOutcome {
-        self.stall();
-        self.inner.forward_union_observed(union, obs)
+        self.inner.forward_union(union, obs)
     }
 }
 
@@ -808,15 +676,6 @@ pub(crate) fn check_seeds(seeds: &[u32], num_nodes: usize) -> Result<(), ServeEr
         }
     }
     Ok(())
-}
-
-/// Copies the given rows of `m` into a fresh `seeds.len() × cols` matrix.
-pub(crate) fn gather_rows(m: &Matrix, seeds: &[u32]) -> Matrix {
-    let mut out = Matrix::zeros(seeds.len(), m.cols());
-    for (i, &s) in seeds.iter().enumerate() {
-        out.row_mut(i).copy_from_slice(m.row(s as usize));
-    }
-    out
 }
 
 #[cfg(test)]

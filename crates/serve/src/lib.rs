@@ -140,9 +140,9 @@ pub use server::{
 };
 pub use telemetry::{
     AnswerObs, EventKind, FlightEvent, FlightRecorder, HealthCheck, HealthReport, IncidentReport,
-    MetricsExporter, RecorderConfig, Registry, SloConfig, SloEvent, SloHub, SloKind, SloSpec,
-    SloSpecSet, SloState, SloStatus, SloTracker, SpanRecord, Stage, StageBreakdown, Telemetry,
-    TelemetryConfig, TraceContext, TraceRing,
+    MetricsExporter, RecorderConfig, Registry, ScrapeSource, SloConfig, SloEvent, SloHub, SloKind,
+    SloSpec, SloSpecSet, SloState, SloStatus, SloTracker, SpanRecord, Stage, StageBreakdown,
+    Telemetry, TelemetryConfig, TraceContext, TraceRing,
 };
 
 use std::error::Error;

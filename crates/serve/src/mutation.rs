@@ -46,12 +46,12 @@
 //! batches that raced the swap). A poisoned leader still answers its
 //! followers — their answers carry the old epoch — but its fill never
 //! becomes resident, so no stale cone row survives past the second pass.
-//! The recovery paths that compute rows outside [`LogitCache::claim`]
-//! (the server's aborted-leader fallback, the router's probe/scatter
-//! fill) register with [`LogitCache::lead_uncounted`] *before*
-//! computing, so an invalidation racing them poisons those slots too —
-//! the former `fill_rows` bypass is closed ([`LogitCache::fill_rows`]
-//! itself is now a warm-up hook that skips any in-flight seed).
+//! The one recovery path that computes rows outside
+//! [`LogitCache::claim`] (the server's aborted-leader fallback)
+//! registers with [`LogitCache::lead_uncounted`] *before* computing, so
+//! an invalidation racing it poisons those slots too
+//! ([`LogitCache::fill_rows`] is a warm-up hook that skips any
+//! in-flight seed).
 //!
 //! Sharded engines do not accept mutations yet: a mutation's cone can
 //! cross shard halos, which needs ghost-row reconciliation — future
@@ -527,16 +527,8 @@ impl BatchEngine for DynamicEngine {
         *self.recorder.lock().expect("recorder slot poisoned") = Some(Arc::clone(recorder));
     }
 
-    fn forward_union(&self, union: &[u32]) -> BatchOutcome {
-        BatchEngine::forward_union(&self.read_state().engine, union)
-    }
-
-    fn forward_union_observed(
-        &self,
-        union: &[u32],
-        obs: Option<(&Telemetry, u64)>,
-    ) -> BatchOutcome {
-        self.read_state().engine.forward_union_observed(union, obs)
+    fn forward_union(&self, union: &[u32], obs: Option<(&Telemetry, u64)>) -> BatchOutcome {
+        self.read_state().engine.forward_union(union, obs)
     }
 }
 

@@ -20,18 +20,16 @@
 //! [`crate::Server`] drives it through the same `Server`/`ServerHandle`
 //! API as the single engine.
 
-use crate::cache::LogitCache;
 use crate::engine::{check_seeds, BatchEngine, BatchLogits, BatchOutcome, InferenceEngine};
 use crate::exec::{Executor, StdThreadExecutor};
 use crate::telemetry::Telemetry;
 use crate::ServeError;
 use maxk_graph::shard::{ShardStrategy, Sharding};
 use maxk_graph::{Csr, NodeSet, WarpPartition};
-use maxk_nn::plan::{ForwardPlan, ForwardTimer, PlanConfig};
+use maxk_nn::plan::PlanConfig;
 use maxk_nn::snapshot::ModelSnapshot;
 use maxk_nn::{GraphContext, GraphVersion, SnapshotGeneration};
 use maxk_tensor::Matrix;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// How [`ShardedEngine::from_snapshot`] partitions the graph.
@@ -122,9 +120,6 @@ pub struct ShardedEngine {
     /// of a single normalized operand, so they form one cacheable graph
     /// identity.
     graph_version: GraphVersion,
-    /// Optional router-level logit cache: probe before scatter, fill
-    /// after gather.
-    cache: Option<Arc<LogitCache>>,
 }
 
 impl ShardedEngine {
@@ -208,7 +203,6 @@ impl ShardedEngine {
             out_dim,
             generation: snapshot.generation,
             graph_version,
-            cache: None,
         })
     }
 
@@ -219,22 +213,6 @@ impl ShardedEngine {
         for slot in &mut self.slots {
             slot.engine.set_plan_config(cfg);
         }
-        self
-    }
-
-    /// Attaches a router-level logit cache (builder style): every
-    /// [`BatchEngine::forward_union`] probes it before scattering —
-    /// resident seeds never reach a shard — and fills the computed rows
-    /// after the gather.
-    ///
-    /// This is for driving the router directly (e.g. embedded in another
-    /// service). When the router sits behind a [`crate::Server`] with a
-    /// server-level cache, do **not** also attach one here: the server
-    /// already probes and coalesces ahead of the batcher, so a second
-    /// layer only double-copies rows and double-counts hit/miss books.
-    #[must_use]
-    pub fn with_logit_cache(mut self, cache: Arc<LogitCache>) -> Self {
-        self.cache = Some(cache);
         self
     }
 
@@ -291,15 +269,37 @@ impl ShardedEngine {
         let mut union = seeds.to_vec();
         union.sort_unstable();
         union.dedup();
-        Ok(self.forward_union(&union).logits.gather(seeds))
+        Ok(self.forward_union(&union, None).logits.gather(seeds))
+    }
+}
+
+impl BatchEngine for ShardedEngine {
+    fn num_nodes(&self) -> usize {
+        self.num_nodes
     }
 
-    /// The scatter/gather core over owner shards, ignoring the cache.
-    /// When `obs` carries the telemetry hub and batch id, each
-    /// participating shard records its plan/forward/kernel times (and a
-    /// `shard_forward` span) from its own thread — [`Telemetry`] is
-    /// `Sync`, so the fan-out needs no extra coordination.
-    fn scatter_gather(&self, union: &[u32], obs: Option<(&Telemetry, u64)>) -> BatchOutcome {
+    fn out_dim(&self) -> usize {
+        self.out_dim
+    }
+
+    fn num_shards(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn generation(&self) -> SnapshotGeneration {
+        self.generation
+    }
+
+    fn graph_version(&self) -> GraphVersion {
+        self.graph_version
+    }
+
+    /// Scatter/gather over owner shards. When `obs` carries the
+    /// telemetry hub and batch id, each participating shard records its
+    /// plan/forward/kernel times (and a `shard_forward` span) from its
+    /// own thread — [`Telemetry`] is `Sync`, so the fan-out needs no
+    /// extra coordination.
+    fn forward_union(&self, union: &[u32], obs: Option<(&Telemetry, u64)>) -> BatchOutcome {
         let set = NodeSet::from_unsorted(union, self.num_nodes)
             .expect("server validates seeds before batching");
         // Scatter: per shard, the local seed ids plus each seed's row
@@ -322,32 +322,17 @@ impl ShardedEngine {
         // gathers its seed rows compactly.
         let run_shard = |s: usize| {
             let seeds = &local_seeds[s];
-            let engine = &self.slots[s].engine;
-            let plan_start = Instant::now();
-            let plan = engine.plan_for(seeds).unwrap_or(ForwardPlan::Full);
-            let plan_dur = plan_start.elapsed();
-            let partial = plan.is_partial();
-            let Some((tel, batch_id)) = obs else {
-                return (engine.forward_planned(&plan).gather(seeds), partial);
-            };
-            tel.record_plan(plan_dur);
-            let path = if partial { "partial" } else { "full" };
             let fwd_start = Instant::now();
-            let out = if tel.config().kernel_timing {
-                let mut timer = ForwardTimer::new();
-                let out = engine.forward_planned_timed(&plan, Some(&mut timer));
-                tel.record_kernel_laps(path, timer.laps());
-                out
-            } else {
-                engine.forward_planned(&plan)
-            };
-            let fwd_dur = fwd_start.elapsed();
-            tel.record_forward(path, fwd_dur);
-            tel.record_shard_forward(s, fwd_dur, partial);
-            if tel.spans_enabled() {
-                tel.push_span("shard_forward", batch_id, fwd_start, fwd_dur, s as u64);
+            let out = self.slots[s].engine.forward_union(seeds, obs);
+            let partial = out.any_partial();
+            if let Some((tel, batch_id)) = obs {
+                let fwd_dur = fwd_start.elapsed();
+                tel.record_shard_forward(s, fwd_dur, partial);
+                if tel.spans_enabled() {
+                    tel.push_span("shard_forward", batch_id, fwd_start, fwd_dur, s as u64);
+                }
             }
-            (out.gather(seeds), partial)
+            (out.logits.gather(seeds), partial)
         };
         let participating = local_seeds.iter().filter(|s| !s.is_empty()).count();
         let mut results: Vec<Option<(Matrix, bool)>> = vec![None; self.slots.len()];
@@ -383,116 +368,6 @@ impl ShardedEngine {
         BatchOutcome {
             logits: BatchLogits::compact(logits, set),
             shards,
-        }
-    }
-}
-
-impl BatchEngine for ShardedEngine {
-    fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
-    fn num_shards(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn generation(&self) -> SnapshotGeneration {
-        self.generation
-    }
-
-    fn graph_version(&self) -> GraphVersion {
-        self.graph_version
-    }
-
-    fn forward_union(&self, union: &[u32]) -> BatchOutcome {
-        self.forward_union_impl(union, None)
-    }
-
-    fn forward_union_observed(
-        &self,
-        union: &[u32],
-        obs: Option<(&Telemetry, u64)>,
-    ) -> BatchOutcome {
-        self.forward_union_impl(union, obs)
-    }
-}
-
-impl ShardedEngine {
-    /// Shared body of the two [`BatchEngine`] forward entry points:
-    /// probe the router cache (when attached), scatter the misses,
-    /// fill and merge.
-    fn forward_union_impl(&self, union: &[u32], obs: Option<(&Telemetry, u64)>) -> BatchOutcome {
-        let Some(cache) = &self.cache else {
-            return self.scatter_gather(union, obs);
-        };
-        // Probe before scatter: resident seeds never reach a shard.
-        let mut missing: Vec<u32> = Vec::new();
-        let mut hit_rows: Vec<(usize, Arc<[f32]>)> = Vec::new();
-        for (pos, &g) in union.iter().enumerate() {
-            match cache.probe(self.generation, self.graph_version, g) {
-                Some(row) => hit_rows.push((pos, row)),
-                None => missing.push(g),
-            }
-        }
-        cache.record_misses(missing.len() as u64);
-        if missing.is_empty() {
-            // Fully hot: assemble from cache, no shard participates.
-            let set = NodeSet::from_unsorted(union, self.num_nodes)
-                .expect("server validates seeds before batching");
-            let mut logits = Matrix::zeros(union.len(), self.out_dim);
-            for (pos, row) in hit_rows {
-                logits.row_mut(pos).copy_from_slice(&row);
-            }
-            return BatchOutcome {
-                logits: BatchLogits::compact(logits, set),
-                shards: Vec::new(),
-            };
-        }
-        // Register uncounted leadership *before* the scatter so a
-        // mutation's invalidation racing the shard forwards poisons the
-        // slots and the fill below skips the stale rows (the misses are
-        // already counted above — leadership here moves no books).
-        let lead = cache.lead_uncounted(self.generation, self.graph_version, &missing);
-        let computed = self.scatter_gather(&missing, obs);
-        // Fill after gather: `missing` preserves the union's sorted order,
-        // matching the compact row order of the gathered logits.
-        let lead_seeds = lead.seeds();
-        if lead_seeds.len() == missing.len() {
-            lead.fill(computed.logits.logits());
-        } else if !lead_seeds.is_empty() {
-            // Some misses are led by another in-flight batch; publish
-            // only the rows this scatter leads.
-            let rows = computed.logits.logits();
-            let mut sub = Matrix::zeros(lead_seeds.len(), self.out_dim);
-            for (j, s) in lead_seeds.iter().enumerate() {
-                let i = missing.binary_search(s).expect("lead seed is a miss");
-                sub.row_mut(j).copy_from_slice(rows.row(i));
-            }
-            lead.fill(&sub);
-        }
-        if hit_rows.is_empty() {
-            return computed;
-        }
-        // Merge cached and computed rows back into union-compact order.
-        let set = NodeSet::from_unsorted(union, self.num_nodes)
-            .expect("server validates seeds before batching");
-        let mut logits = Matrix::zeros(union.len(), self.out_dim);
-        for (pos, row) in hit_rows {
-            logits.row_mut(pos).copy_from_slice(&row);
-        }
-        for (r, &seed) in missing.iter().enumerate() {
-            let pos = set.compact(seed).expect("missing seed is in the union");
-            logits
-                .row_mut(pos)
-                .copy_from_slice(computed.logits.logits().row(r));
-        }
-        BatchOutcome {
-            logits: BatchLogits::compact(logits, set),
-            shards: computed.shards,
         }
     }
 }
@@ -562,12 +437,12 @@ mod tests {
         )
         .unwrap();
         // All seeds owned by shard 0 (contiguous: low ids).
-        let out = sharded.forward_union(&[0, 1, 2]);
+        let out = sharded.forward_union(&[0, 1, 2], None);
         assert_eq!(out.shards.len(), 1);
         assert_eq!(out.shards[0].0, 0);
         assert_eq!(sharded.owner_of(0), 0);
         // A spread-out union touches several shards.
-        let out = sharded.forward_union(&[0, 30, 79]);
+        let out = sharded.forward_union(&[0, 30, 79], None);
         assert!(out.shards.len() > 1);
     }
 
@@ -655,7 +530,7 @@ mod tests {
             let mut union: Vec<u32> = seeds.to_vec();
             union.sort_unstable();
             union.dedup();
-            let out = sharded.forward_union(&union);
+            let out = sharded.forward_union(&union, None);
             assert_eq!(out.any_partial(), cfg.work_ratio.is_infinite());
         }
     }

@@ -1,72 +1,62 @@
-//! The micro-batching request queue behind the admission layer.
+//! The micro-batching server: three stage types over one shared state.
 //!
-//! Architecture (every thread and channel below is spawned and built
-//! through [`crate::exec`] — the one seam a different executor backend
-//! would slot into):
+//! Every thread and channel below is spawned and built through
+//! [`crate::exec`] — the one seam a different executor backend would slot
+//! into. [`Server::builder`]`.start(engine)` builds one `Arc<Shared>`
+//! (the engine, admission queue, counters, latency histogram, optional
+//! cache / telemetry / SLO hub / flight recorder) and hands it to the
+//! stages:
 //!
 //! ```text
-//! clients ──ServerHandle::request/query──▶ admission layer
-//!              (bounded queue + overload policy + per-client
-//!               token buckets; Rejected/Shed outcomes surface
-//!               here instead of queueing without bound)
-//!                                      │
-//!                                  batcher thread
-//!                 (cache probe per popped query — a fully-hot
-//!                  query is answered inline and never joins a
-//!                  batch; the rest coalesce within `batch_window`,
-//!                  up to `max_batch` per batch; deadline-blown
-//!                  entries are shed before costing a forward)
-//!                                      │
-//!                                 batch channel
-//!                                      │
-//!                        worker pool (`workers` threads)
-//!               (claim the batch's still-missing seeds: lead
-//!                seeds shrink the union handed to the plan,
-//!                follower seeds park on another batch's in-flight
-//!                computation; one shared forward for the lead
-//!                union, fill the cache, gather rows, reply per
-//!                query, record latency)
+//! clients ──ServerHandle::request/query──▶ admission queue
+//!              (bounded; overload policy + per-client token buckets;
+//!               Rejected/Shed outcomes surface here, see
+//!               crate::admission)
+//!                    │
+//!                 Batcher            one thread
+//!              (pop; cache probe per popped query — a fully-hot one is
+//!               answered inline and never joins a batch; the rest
+//!               coalesce within `batch_window`, up to `max_batch`;
+//!               deadline-blown entries are shed before costing a forward)
+//!                    │  bounded batch channel
+//!              ForwardWorker × `workers`
+//!              (`run_batch`: with a cache, claim the still-missing seeds
+//!               — lead seeds shrink the union handed to the engine,
+//!               follower seeds park on another batch's in-flight
+//!               computation; one `BatchEngine::forward_union` for what
+//!               is left; publish; copy each query's rows)
+//!                    │
+//!                 deliver            the one reply path
+//!              (late-answer count, stage split, trace finish, books,
+//!               then the reply — for inline and batched answers alike)
+//!
+//!              SloMonitor            one thread, only with objectives
+//!              (diffs the books each tick, evaluates burn rates, runs
+//!               the incident lifecycle and the admission feedback)
 //! ```
 //!
 //! Each batch costs **one** engine forward regardless of how many queries
 //! it carries, so coalescing multiplies throughput by the mean batch
 //! occupancy — the serving-side analogue of the paper's full-batch
-//! aggregation amortization. Setting `max_batch = 1` (window 0) degrades
-//! to the one-query-per-forward baseline that `serve_bench` compares
-//! against.
+//! aggregation amortization (`max_batch = 1`, window 0 is the
+//! one-query-per-forward baseline `serve_bench` compares against). The
+//! opt-in logit cache ([`ServerBuilder::cache`]) reuses rows *across*
+//! batches, keyed by `(SnapshotGeneration, GraphVersion, seed)`; its
+//! counters exactly account for every answered seed instance
+//! ([`StatsSnapshot::cache`]).
 //!
-//! On top of coalescing, an opt-in seed-level logit cache
-//! ([`ServeConfig::cache`] / [`ServerBuilder::cache`]) reuses rows
-//! *across* batches: under Zipf traffic a hot seed is computed once per
-//! `(SnapshotGeneration, GraphVersion)` identity and every repeat is a
-//! cache hit — a fully-hot query never reaches the engine at all, and
-//! partial hits shrink the seed union handed to the forward planner.
-//! Identical seeds wanted by overlapping batches share one in-flight
-//! computation ([`crate::LogitCache`] coalescing). [`StatsSnapshot::cache`]
-//! reports hits/misses/coalesced/evictions; the counters exactly account
-//! for every answered seed instance.
-//!
-//! The admission layer ([`crate::admission`]) bounds what reaches the
-//! batcher: when offered load exceeds forward throughput, queries are
-//! rejected or shed (per [`AdmissionConfig::policy`]) instead of growing
-//! an unbounded queue, so p99 latency stays a property of the system
-//! rather than of how long the overload has lasted. Callers see the
-//! outcome as [`QueryResponse::Rejected`] / [`QueryResponse::Shed`]
-//! rather than a hang, and [`StatsSnapshot`] reconciles every submitted
-//! query into answered/rejected/shed exactly (plus, while loaded, the
-//! queued and mid-flight queries still working their way through the
-//! batcher and workers).
-//!
-//! Per batch, the worker hands the batch's **seed union** (minus cached
-//! and in-flight seeds) to the engine ([`BatchEngine::forward_union`]).
-//! The single [`crate::InferenceEngine`] plans full vs. seed-restricted
-//! over the union (partial when the union's reverse L-hop frontier is
-//! small); the sharded [`crate::ShardedEngine`] scatters the union to
-//! owner shards, each planning independently.
-//! [`StatsSnapshot::partial_batches`] and the per-shard
+//! The engine behind [`BatchEngine::forward_union`] decides how the union
+//! is computed: the single [`crate::InferenceEngine`] plans full vs.
+//! seed-restricted (partial when the union's reverse L-hop frontier is
+//! small), the sharded [`crate::ShardedEngine`] scatters it to owner
+//! shards, each planning independently. [`StatsSnapshot`] reconciles
+//! every submitted query into answered/rejected/shed exactly (plus, while
+//! loaded, the queued and mid-flight ones), and reports how often each
+//! path won ([`StatsSnapshot::partial_batches`], the per-shard
 //! [`StatsSnapshot::shard_batches`] /
-//! [`StatsSnapshot::shard_partial_batches`] counters report how often
-//! each path won and how batches spread over shards.
+//! [`StatsSnapshot::shard_partial_batches`]). The read side
+//! ([`StatsSource`]: stats, scrape bodies, `/healthz`, `/debug/state`)
+//! holds the same `Arc<Shared>` as the stages.
 
 use crate::admission::{
     AdaptiveConfig, AdaptiveController, AdaptiveSnapshot, AdmissionConfig, AdmissionQueue,
@@ -74,19 +64,19 @@ use crate::admission::{
     Submission,
 };
 use crate::cache::{CacheConfig, CacheSnapshot, LogitCache};
-use crate::engine::{check_seeds, BatchEngine};
+use crate::engine::{check_seeds, BatchEngine, BatchOutcome};
 use crate::exec::{self, Executor, ShutdownBarrier, StdThreadExecutor};
 use crate::metrics::{ClientStats, EvictedClientStats, LatencyHistogram, LatencySummary};
-use crate::telemetry::export::{self, HistSample, MetricsExporter, Sample, ScrapeSource};
+use crate::telemetry::export::{self, MetricsExporter, ScrapeSource};
 use crate::telemetry::health::{json_array, HealthCheck, HealthReport, JsonObj};
 use crate::telemetry::{
-    serve_scrape, AnswerObs, EventKind, FlightRecorder, IncidentReport, SloConfig, SloHub,
-    SloState, SloStatus, Stage, StageBreakdown, Telemetry, TelemetryConfig,
+    serve_scrape, AnswerObs, EventKind, FlightRecorder, IncidentReport, RegistrySnapshot,
+    SloConfig, SloHub, SloState, SloStatus, Stage, StageBreakdown, Telemetry, TelemetryConfig,
 };
 use crate::ServeError;
 use maxk_nn::{GraphVersion, SnapshotGeneration};
 use maxk_tensor::Matrix;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashMap;
 use std::io;
 use std::net::ToSocketAddrs;
 use std::path::PathBuf;
@@ -308,6 +298,14 @@ struct BatchItem {
     /// queue-wait from batch-wait in the stage histograms.
     dequeued: Instant,
     hits: Vec<Option<Arc<[f32]>>>,
+}
+
+impl BatchItem {
+    /// The resident row the batcher's probe pinned for seed position
+    /// `i`, if any (never, without a cache).
+    fn hit(&self, i: usize) -> Option<&Arc<[f32]>> {
+        self.hits.get(i).and_then(Option::as_ref)
+    }
 }
 
 /// Sends the shed notification for entries the admission layer dropped.
@@ -777,23 +775,29 @@ impl ServerBuilder {
 /// assert_eq!(stats.queries, 1);
 /// ```
 pub struct Server {
-    queue: Arc<AdmissionQueue<Request>>,
-    /// Joins the batcher stage, then the worker stage, in that order —
-    /// the executor-level encoding of the shutdown protocol (see
-    /// [`Server::join_threads`]'s body).
+    shared: Arc<Shared>,
+    /// Joins the batcher stage, then the worker stage, then the SLO
+    /// monitor, in that order — the executor-level encoding of the
+    /// shutdown protocol (see [`Server::join_threads`]'s body).
     barrier: ShutdownBarrier,
-    counters: Arc<Counters>,
-    hist: Arc<Mutex<LatencyHistogram>>,
+}
+
+/// Everything the pipeline stages, the client handles and the read side
+/// ([`StatsSource`]) share, behind one `Arc`.
+struct Shared {
+    engine: Arc<dyn BatchEngine>,
+    queue: AdmissionQueue<Request>,
+    counters: Counters,
+    hist: Mutex<LatencyHistogram>,
     cache: Option<Arc<LogitCache>>,
     telemetry: Option<Arc<Telemetry>>,
     slo: Option<Arc<SloHub>>,
     recorder: Option<Arc<FlightRecorder>>,
-    /// Stops the SLO monitor thread at shutdown (always present; unused
-    /// when no monitor was spawned).
-    monitor_stop: Arc<AtomicBool>,
+    /// Stops the SLO monitor stage at shutdown (unused when no monitor
+    /// was spawned).
+    monitor_stop: AtomicBool,
     build: BuildInfo,
     started: Instant,
-    num_nodes: usize,
 }
 
 impl Server {
@@ -810,10 +814,6 @@ impl Server {
         cfg: ServeConfig,
         sink: Option<PathBuf>,
     ) -> Server {
-        let num_nodes = engine.num_nodes();
-        let out_dim = engine.out_dim();
-        let counters = Arc::new(Counters::new(engine.num_shards()));
-        let hist = Arc::new(Mutex::new(LatencyHistogram::new()));
         let adaptive = cfg.adaptive.map(|a| {
             Arc::new(AdaptiveController::new(
                 a,
@@ -821,10 +821,6 @@ impl Server {
                 cfg.workers.max(1),
             ))
         });
-        let queue = Arc::new(AdmissionQueue::<Request>::with_controller(
-            cfg.admission,
-            adaptive.clone(),
-        ));
         let cache = cfg.cache.map(|c| Arc::new(LogitCache::new(c)));
         // A mutable engine invalidates its dirty cones straight into the
         // server's cache; frozen engines ignore the hook.
@@ -854,12 +850,24 @@ impl Server {
             (Some(s), Some(tel)) => Some(Arc::new(SloHub::new(*s, Arc::clone(tel)))),
             _ => None,
         };
-        let build = BuildInfo {
-            version: env!("CARGO_PKG_VERSION"),
-            shards: engine.num_shards(),
-            policy: policy_label(cfg.admission.policy),
-            workers: cfg.workers.max(1),
-        };
+        let shared = Arc::new(Shared {
+            queue: AdmissionQueue::with_controller(cfg.admission, adaptive),
+            counters: Counters::new(engine.num_shards()),
+            hist: Mutex::new(LatencyHistogram::new()),
+            cache,
+            telemetry,
+            slo,
+            recorder,
+            monitor_stop: AtomicBool::new(false),
+            build: BuildInfo {
+                version: env!("CARGO_PKG_VERSION"),
+                shards: engine.num_shards(),
+                policy: policy_label(cfg.admission.policy),
+                workers: cfg.workers.max(1),
+            },
+            started: Instant::now(),
+            engine,
+        });
         // The batch channel is bounded (one ready batch beyond what the
         // workers hold): otherwise the batcher would eagerly drain the
         // bounded admission queue into an unbounded backlog here, and
@@ -870,470 +878,43 @@ impl Server {
         let (batch_tx, batch_rx) = executor.bounded::<Vec<BatchItem>>(1);
         let batch_rx = Arc::new(Mutex::new(batch_rx));
 
-        let max_batch = cfg.max_batch.max(1);
-        let window = cfg.batch_window;
-        let ingress = Arc::clone(&queue);
-        let batcher_counters = Arc::clone(&counters);
-        let batcher_hist = Arc::clone(&hist);
-        let batcher_cache = cache.clone();
-        let batcher_tel = telemetry.clone();
-        let batcher_engine = Arc::clone(&engine);
-        let batcher_slo = slo.clone();
-        let batcher_rec = recorder.clone();
-        let batcher = executor.spawn_worker("maxk-batcher", move || {
-            // Probes a popped entry against the cache. A fully-hot entry
-            // is answered inline — batch size 1, no forward, never
-            // occupies a batch slot — and `None` is returned; otherwise
-            // the entry is wrapped with its pinned hit rows. Every probe
-            // hit is counted by the cache, which is sound because popped
-            // entries are always answered (shedding happens inside
-            // `pop`, before the probe).
-            let prepare = |mut entry: Entry<Request>| -> Option<BatchItem> {
-                // Sampled per entry, not once at spawn: a mutable engine
-                // advances its identity (epoch, and under version-bumping
-                // its GraphVersion) while the server runs, and probes
-                // must key against the identity being served *now*.
-                let generation = batcher_engine.generation();
-                let graph_version = batcher_engine.graph_version();
-                let epoch = batcher_engine.epoch();
-                let dequeued = Instant::now();
-                if let Some(trace) = entry.payload.trace.as_mut() {
-                    trace.mark_at(Stage::Dequeue, dequeued);
-                }
-                let Some(cache) = &batcher_cache else {
-                    if let Some(trace) = entry.payload.trace.as_mut() {
-                        trace.mark(Stage::BatchAssembled);
-                    }
-                    return Some(BatchItem {
-                        entry,
-                        dequeued,
-                        hits: Vec::new(),
-                    });
-                };
-                let hits: Vec<Option<Arc<[f32]>>> = entry
-                    .payload
-                    .seeds
-                    .iter()
-                    .map(|&s| cache.probe(generation, graph_version, s))
-                    .collect();
-                if let Some(trace) = entry.payload.trace.as_mut() {
-                    trace.mark(Stage::CacheProbe);
-                }
-                if hits.iter().any(|h| h.is_none()) {
-                    if let Some(trace) = entry.payload.trace.as_mut() {
-                        trace.mark(Stage::BatchAssembled);
-                    }
-                    return Some(BatchItem {
-                        entry,
-                        dequeued,
-                        hits,
-                    });
-                }
-                let now = Instant::now();
-                let latency = now.saturating_duration_since(entry.enqueued);
-                if entry.deadline.is_some_and(|d| now >= d) {
-                    batcher_counters
-                        .late_answers
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                batcher_counters.queries.fetch_add(1, Ordering::Relaxed);
-                batcher_counters
-                    .cached_queries
-                    .fetch_add(1, Ordering::Relaxed);
-                batcher_counters
-                    .inline_queries
-                    .fetch_add(1, Ordering::Relaxed);
-                let mut logits = Matrix::zeros(entry.payload.seeds.len(), out_dim);
-                for (i, h) in hits.iter().enumerate() {
-                    logits
-                        .row_mut(i)
-                        .copy_from_slice(h.as_ref().expect("fully-hot entry"));
-                }
-                let us = duration_us(latency);
-                batcher_hist.lock().expect("histogram poisoned").record(us);
-                ingress.record_answered([(entry.client, us)]);
-                if let Some(rec) = &batcher_rec {
-                    rec.record(EventKind::InlineAnswer, entry.payload.seeds.len() as u64, 0);
-                }
-                if let (Some(hub), Some(tel)) = (&batcher_slo, &batcher_tel) {
-                    // An inline answer reflects the epoch sampled at the
-                    // top of this probe; the engine may already be ahead.
-                    let lag = batcher_engine.epoch().saturating_sub(epoch);
-                    hub.observe_answers(
-                        tel.now_us(),
-                        &[AnswerObs {
-                            latency_us: us,
-                            epoch_lag: lag,
-                        }],
-                    );
-                }
-                if let Some(tel) = &batcher_tel {
-                    // Inline answer: no batch, so batch-wait is zero and
-                    // service is the cache-row assembly since the pop.
-                    // All four durations derive from the same instants,
-                    // keeping queue + batch + service == e2e (up to µs
-                    // truncation).
-                    tel.record_stages(
-                        duration_us(dequeued.saturating_duration_since(entry.enqueued)),
-                        0,
-                        duration_us(now.saturating_duration_since(dequeued)),
-                        us,
-                    );
-                    if let Some(mut trace) = entry.payload.trace.take() {
-                        trace.mark_at(Stage::Reply, now);
-                        tel.finish_trace(&trace);
-                    }
-                }
-                let _ = entry
-                    .payload
-                    .reply
-                    .send(Ok(QueryResponse::Answered(QueryAnswer {
-                        logits,
-                        batch_size: 1,
-                        latency,
-                        partial: false,
-                        generation,
-                        graph_version,
-                        epoch,
-                        cached: true,
-                    })));
-                None
-            };
-            'batching: loop {
-                // Block for the batch's first query; deadline-blown
-                // entries encountered on the way are shed (they never
-                // cost a forward), and fully-hot entries are answered
-                // inline without opening a batch window.
-                let first = loop {
-                    let popped = ingress.pop(None);
-                    notify_shed(
-                        popped
-                            .shed
-                            .into_iter()
-                            .map(|e| (e, ShedReason::DeadlineBlown)),
-                    );
-                    match popped.item {
-                        Some(entry) => {
-                            if let Some(item) = prepare(entry) {
-                                break item;
-                            }
-                        }
-                        None if popped.closed => break 'batching,
-                        None => {}
-                    }
-                };
-                let mut batch = vec![first];
-                let mut stop = false;
-                let deadline = Instant::now() + window;
-                while batch.len() < max_batch {
-                    let popped = ingress.pop(Some(deadline));
-                    notify_shed(
-                        popped
-                            .shed
-                            .into_iter()
-                            .map(|e| (e, ShedReason::DeadlineBlown)),
-                    );
-                    match popped.item {
-                        Some(entry) => {
-                            if let Some(item) = prepare(entry) {
-                                batch.push(item);
-                            }
-                        }
-                        None if popped.closed => {
-                            stop = true;
-                            break;
-                        }
-                        // `pop` also returns item-less early when it only
-                        // found deadline-blown entries to shed — that is
-                        // not window expiry, so keep collecting (exactly
-                        // under shedding overload is when batches must
-                        // not collapse to singletons).
-                        None if Instant::now() >= deadline => break,
-                        None => {}
-                    }
-                }
-                if let Some(rec) = &batcher_rec {
-                    let seeds: usize = batch
-                        .iter()
-                        .map(|item| item.entry.payload.seeds.len())
-                        .sum();
-                    rec.record(EventKind::BatchFormed, batch.len() as u64, seeds as u64);
-                }
-                // Flush the in-flight batch even when shutting down.
-                if batch_tx.send(batch).is_err() || stop {
-                    break;
-                }
-            }
-        });
-
-        let mut workers = Vec::with_capacity(cfg.workers.max(1));
-        for w in 0..cfg.workers.max(1) {
-            let engine = Arc::clone(&engine);
-            let batch_rx = Arc::clone(&batch_rx);
-            let counters = Arc::clone(&counters);
-            let hist = Arc::clone(&hist);
-            let queue = Arc::clone(&queue);
-            let cache = cache.clone();
-            let telemetry = telemetry.clone();
-            let adaptive = adaptive.clone();
-            let slo = slo.clone();
-            workers.push(executor.spawn_worker(&format!("maxk-worker-{w}"), move || {
-                loop {
-                    // The guard is held across the blocking recv: waiting
-                    // workers queue on the mutex, so batches are handed
-                    // out one at a time while compute overlaps.
-                    let batch = match batch_rx.lock().expect("batch queue poisoned").recv() {
-                        Ok(b) => b,
-                        Err(_) => break,
-                    };
-                    let size = batch.len();
-                    let batch_id = telemetry.as_ref().map_or(0, |t| t.next_batch_id());
-                    let obs = telemetry.as_deref().map(|t| (t, batch_id));
-                    // Sampled per batch (see the batcher's per-entry
-                    // note): the whole batch is answered by one engine
-                    // state, so one sample before the forward labels and
-                    // cache-keys it consistently.
-                    let generation = engine.generation();
-                    let graph_version = engine.graph_version();
-                    let epoch = engine.epoch();
-                    // The forward-start instant splits batch-wait from
-                    // service in the stage histograms.
-                    let fwd_start = Instant::now();
-                    let (answers, partial, forwarded) = match &cache {
-                        None => run_batch_uncached(engine.as_ref(), &counters, &batch, obs),
-                        Some(cache) => run_batch_cached(
-                            engine.as_ref(),
-                            &counters,
-                            cache,
-                            generation,
-                            graph_version,
-                            &batch,
-                            obs,
-                        ),
-                    };
-                    counters.queries.fetch_add(size as u64, Ordering::Relaxed);
-                    // Gather every reply first (the expensive row copies
-                    // happen without holding any shared lock), then
-                    // record the books *before* sending: once a client
-                    // holds its answer, the counters already include it.
-                    let now = Instant::now();
-                    // Feed the adaptive controller only batches that ran
-                    // a forward: an all-cache-resolved batch says nothing
-                    // about engine service time and would drag the EWMA
-                    // toward zero, collapsing the derived budgets.
-                    if forwarded {
-                        if let Some(ctrl) = &adaptive {
-                            ctrl.observe_batch(now.saturating_duration_since(fwd_start), epoch);
-                        }
-                    }
-                    let mut replies = Vec::with_capacity(size);
-                    let mut stage_rows: Vec<[u64; 4]> = Vec::new();
-                    for (item, (logits, cached)) in batch.into_iter().zip(answers) {
-                        let BatchItem {
-                            mut entry,
-                            dequeued,
-                            hits: _,
-                        } = item;
-                        let latency = now.saturating_duration_since(entry.enqueued);
-                        if entry.deadline.is_some_and(|d| now >= d) {
-                            counters.late_answers.fetch_add(1, Ordering::Relaxed);
-                        }
-                        if cached {
-                            counters.cached_queries.fetch_add(1, Ordering::Relaxed);
-                        }
-                        if let Some(tel) = &telemetry {
-                            // queue-wait, batch-wait, service and e2e all
-                            // derive from the same four instants, so per
-                            // query the three stages sum to the e2e
-                            // latency up to µs truncation.
-                            stage_rows.push([
-                                duration_us(dequeued.saturating_duration_since(entry.enqueued)),
-                                duration_us(fwd_start.saturating_duration_since(dequeued)),
-                                duration_us(now.saturating_duration_since(fwd_start)),
-                                duration_us(latency),
-                            ]);
-                            if let Some(mut trace) = entry.payload.trace.take() {
-                                trace.mark_at(Stage::Forward, fwd_start);
-                                trace.mark_at(Stage::Gather, now);
-                                trace.mark(Stage::Reply);
-                                tel.finish_trace(&trace);
-                            }
-                        }
-                        let answer = QueryAnswer {
-                            logits,
-                            batch_size: size,
-                            latency,
-                            partial,
-                            generation,
-                            graph_version,
-                            epoch,
-                            cached,
-                        };
-                        replies.push((entry.client, entry.payload.reply, answer));
-                    }
-                    if let Some(tel) = &telemetry {
-                        tel.record_stage_rows(&stage_rows);
-                    }
-                    let outcomes: Vec<(u64, u64)> = replies
-                        .iter()
-                        .map(|(client, _, answer)| (*client, duration_us(answer.latency)))
-                        .collect();
-                    if let (Some(hub), Some(tel)) = (&slo, &telemetry) {
-                        // Every answer in this batch carries the same
-                        // staleness: the gap between the epoch it was
-                        // computed against and the engine's current one.
-                        let lag = engine.epoch().saturating_sub(epoch);
-                        let rows: Vec<AnswerObs> = outcomes
-                            .iter()
-                            .map(|&(_, us)| AnswerObs {
-                                latency_us: us,
-                                epoch_lag: lag,
-                            })
-                            .collect();
-                        hub.observe_answers(tel.now_us(), &rows);
-                    }
-                    {
-                        let mut hist = hist.lock().expect("histogram poisoned");
-                        for &(_, us) in &outcomes {
-                            hist.record(us);
-                        }
-                    }
-                    // Per-client answered counts + histograms live in the
-                    // admission queue's one client map (one eviction
-                    // policy, so the books cannot diverge); one lock per
-                    // batch.
-                    queue.record_answered(outcomes);
-                    for (_, reply, answer) in replies {
-                        // A client that gave up is not an error.
-                        let _ = reply.send(Ok(QueryResponse::Answered(answer)));
-                    }
-                }
-            }));
-        }
-
-        // The SLO monitor: owns the counter-diffing (availability and
-        // cache-mass feeds), evaluates every tracker on its tick, and
-        // runs the incident lifecycle — breach transition → recorder
-        // trigger → (post-trigger window) → bundle finalize — plus the
-        // breach→admission feedback loop.
-        let monitor_stop = Arc::new(AtomicBool::new(false));
-        let mut monitor = Vec::new();
-        if let (Some(hub), Some(rec), Some(tel)) = (&slo, &recorder, &telemetry) {
-            let hub = Arc::clone(hub);
-            let rec = Arc::clone(rec);
-            let tel = Arc::clone(tel);
-            let queue = Arc::clone(&queue);
-            let cache = cache.clone();
-            let adaptive = adaptive.clone();
-            let stop = Arc::clone(&monitor_stop);
-            let slo_cfg = *hub.config();
-            let tick = slo_cfg.tick.max(Duration::from_millis(1));
-            monitor.push(executor.spawn_worker("maxk-slo", move || {
-                let mut prev = queue.totals();
-                let mut prev_cache = (0u64, 0u64, 0u64);
-                let mut prev_replans = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(tick);
-                    let now_us = tel.now_us();
-                    // Availability bad-mass: rejections and sheds since
-                    // the last tick (answers arrive event-driven from
-                    // the batcher and workers).
-                    let totals = queue.totals();
-                    let rejected = totals.rejected.saturating_sub(prev.rejected);
-                    let shed = totals.shed.saturating_sub(prev.shed);
-                    prev = totals;
-                    if rejected > 0 {
-                        rec.record_at(now_us, EventKind::Rejected, rejected, 0);
-                    }
-                    if shed > 0 {
-                        rec.record_at(now_us, EventKind::ShedBurst, shed, 0);
-                    }
-                    if rejected + shed > 0 {
-                        hub.observe_unserved(now_us, rejected + shed);
-                    }
-                    if let Some(c) = &cache {
-                        let snap = c.snapshot();
-                        let hits = snap.hits.saturating_sub(prev_cache.0);
-                        let misses = snap.misses.saturating_sub(prev_cache.1);
-                        let evictions = snap.evictions.saturating_sub(prev_cache.2);
-                        prev_cache = (snap.hits, snap.misses, snap.evictions);
-                        if hits + misses > 0 {
-                            hub.observe_cache(now_us, hits, misses);
-                        }
-                        if evictions > 0 {
-                            rec.record_at(now_us, EventKind::EvictionChurn, evictions, 0);
-                        }
-                    }
-                    if let Some(ctrl) = &adaptive {
-                        let replans = ctrl.snapshot().replans;
-                        if replans > prev_replans {
-                            rec.record_at(now_us, EventKind::Replan, replans - prev_replans, 0);
-                        }
-                        prev_replans = replans;
-                    }
-                    for e in hub.evaluate(now_us) {
-                        rec.record_at(
-                            now_us,
-                            EventKind::SloTransition,
-                            e.to.rank(),
-                            (e.fast_burn * 1000.0) as u64,
-                        );
-                        if e.to == SloState::Breach {
-                            rec.trigger(&format!("slo:{}", e.name), breach_context(&hub));
-                        }
-                    }
-                    if slo_cfg.feedback {
-                        if let Some(ctrl) = &adaptive {
-                            // Breach ⇒ tighten the derived deadline so
-                            // DeadlineShed drops load harder; recovery
-                            // restores the full budget.
-                            ctrl.set_deadline_tighten(if hub.any_breached() {
-                                slo_cfg.tighten
-                            } else {
-                                1.0
-                            });
-                        }
-                    }
-                    rec.finalize_due(false);
-                }
-                // A breach close to shutdown still emits its bundle.
-                rec.finalize_due(true);
-            }));
-        }
-
         // Stage order is the shutdown protocol: the batcher exits first
         // (dropping `batch_tx`), which disconnects the workers' recv;
         // the monitor joins last so every answer is observed before the
         // final evaluate/finalize.
         let mut barrier = ShutdownBarrier::new();
+        let batcher = Batcher {
+            shared: Arc::clone(&shared),
+            batch_tx,
+            max_batch: cfg.max_batch.max(1),
+            window: cfg.batch_window,
+        };
+        let batcher = executor.spawn_worker("maxk-batcher", move || batcher.run());
         barrier.add_stage("batcher", vec![batcher]);
+        let workers = (0..cfg.workers.max(1))
+            .map(|w| {
+                let worker = ForwardWorker {
+                    shared: Arc::clone(&shared),
+                    batch_rx: Arc::clone(&batch_rx),
+                };
+                executor.spawn_worker(&format!("maxk-worker-{w}"), move || worker.run())
+            })
+            .collect();
         barrier.add_stage("workers", workers);
-        if !monitor.is_empty() {
-            barrier.add_stage("slo-monitor", monitor);
+        if shared.slo.is_some() {
+            let monitor = SloMonitor {
+                shared: Arc::clone(&shared),
+            };
+            let monitor = executor.spawn_worker("maxk-slo", move || monitor.run());
+            barrier.add_stage("slo-monitor", vec![monitor]);
         }
-
-        Server {
-            queue,
-            barrier,
-            counters,
-            hist,
-            cache,
-            telemetry,
-            slo,
-            recorder,
-            monitor_stop,
-            build,
-            started: Instant::now(),
-            num_nodes,
-        }
+        Server { shared, barrier }
     }
 
     /// A cloneable client handle for submitting queries.
     pub fn handle(&self) -> ServerHandle {
         ServerHandle {
-            queue: Arc::clone(&self.queue),
-            num_nodes: self.num_nodes,
-            telemetry: self.telemetry.clone(),
+            shared: Arc::clone(&self.shared),
         }
     }
 
@@ -1346,25 +927,26 @@ impl Server {
     /// the span ring ([`Telemetry::spans`] / [`Telemetry::chrome_trace`])
     /// and the stage histograms.
     pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
+        self.shared.telemetry.as_ref()
     }
 
     /// The SLO engine, when objectives are configured
     /// ([`ServerBuilder::slo`]).
     pub fn slo(&self) -> Option<&Arc<SloHub>> {
-        self.slo.as_ref()
+        self.shared.slo.as_ref()
     }
 
     /// The always-on flight recorder (present whenever telemetry is —
     /// which includes any server with configured SLOs).
     pub fn flight_recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.recorder.as_ref()
+        self.shared.recorder.as_ref()
     }
 
     /// Every incident bundle finalized so far (also written to the
     /// [`ServerBuilder::incident_sink`] directory, when one is set).
     pub fn incidents(&self) -> Vec<IncidentReport> {
-        self.recorder
+        self.shared
+            .recorder
             .as_ref()
             .map_or_else(Vec::new, |r| r.incidents())
     }
@@ -1374,15 +956,7 @@ impl Server {
     /// (safe to hand to a scrape thread).
     pub fn metrics_source(&self) -> StatsSource {
         StatsSource {
-            queue: Arc::clone(&self.queue),
-            counters: Arc::clone(&self.counters),
-            hist: Arc::clone(&self.hist),
-            cache: self.cache.clone(),
-            telemetry: self.telemetry.clone(),
-            slo: self.slo.clone(),
-            recorder: self.recorder.clone(),
-            build: self.build,
-            started: self.started,
+            shared: Arc::clone(&self.shared),
         }
     }
 
@@ -1417,118 +991,553 @@ impl Server {
         // no-op). The monitor stop flag lands first so its stage (the
         // last one) exits within a tick and force-finalizes any open
         // incident on the way out.
-        self.monitor_stop.store(true, Ordering::Relaxed);
-        self.queue.close();
+        self.shared.monitor_stop.store(true, Ordering::Relaxed);
+        self.shared.queue.close();
         self.barrier.join_all();
     }
 }
 
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.join_threads();
+    }
+}
+
+/// What one pop of the admission queue came to, once its shed entries
+/// were notified and a fully-hot entry was answered inline.
+enum Popped {
+    /// A query that needs a batch slot.
+    Item(BatchItem),
+    /// A query was popped and answered inline from the cache.
+    Inline,
+    /// Nothing arrived before the wait deadline (or the pop only found
+    /// deadline-blown entries to shed).
+    Empty,
+    /// The queue is closed and drained.
+    Closed,
+}
+
+/// The batcher stage: pops admitted queries, answers fully-hot ones
+/// inline from the cache, and coalesces the rest into batches for the
+/// workers — within `window` of a batch's first query, up to `max_batch`.
+struct Batcher {
+    shared: Arc<Shared>,
+    batch_tx: exec::Sender<Vec<BatchItem>>,
+    max_batch: usize,
+    window: Duration,
+}
+
+impl Batcher {
+    fn run(self) {
+        loop {
+            // Block for the batch's first query; fully-hot entries are
+            // answered on the way without opening a batch window.
+            let first = loop {
+                match self.pop(None) {
+                    Popped::Item(item) => break item,
+                    Popped::Closed => return,
+                    Popped::Inline | Popped::Empty => {}
+                }
+            };
+            let mut batch = vec![first];
+            let mut stop = false;
+            let deadline = Instant::now() + self.window;
+            while batch.len() < self.max_batch {
+                match self.pop(Some(deadline)) {
+                    Popped::Item(item) => batch.push(item),
+                    Popped::Closed => {
+                        stop = true;
+                        break;
+                    }
+                    // `pop` also returns item-less early when it only
+                    // found deadline-blown entries to shed — that is
+                    // not window expiry, so keep collecting (exactly
+                    // under shedding overload is when batches must
+                    // not collapse to singletons).
+                    Popped::Empty if Instant::now() >= deadline => break,
+                    Popped::Inline | Popped::Empty => {}
+                }
+            }
+            if let Some(rec) = &self.shared.recorder {
+                let seeds: usize = batch
+                    .iter()
+                    .map(|item| item.entry.payload.seeds.len())
+                    .sum();
+                rec.record(EventKind::BatchFormed, batch.len() as u64, seeds as u64);
+            }
+            // Flush the in-flight batch even when shutting down.
+            if self.batch_tx.send(batch).is_err() || stop {
+                return;
+            }
+        }
+    }
+
+    /// One pop of the admission queue. Deadline-blown entries
+    /// encountered on the way are shed (they never cost a forward).
+    fn pop(&self, wait_until: Option<Instant>) -> Popped {
+        let popped = self.shared.queue.pop(wait_until);
+        notify_shed(
+            popped
+                .shed
+                .into_iter()
+                .map(|e| (e, ShedReason::DeadlineBlown)),
+        );
+        match popped.item {
+            Some(entry) => self.prepare(entry).map_or(Popped::Inline, Popped::Item),
+            None if popped.closed => Popped::Closed,
+            None => Popped::Empty,
+        }
+    }
+
+    /// Probes a popped entry against the cache. A fully-hot entry is
+    /// answered inline — batch size 1, no forward, never occupies a
+    /// batch slot — and `None` is returned; otherwise the entry is
+    /// wrapped with its pinned hit rows. Every probe hit is counted by
+    /// the cache, which is sound because popped entries are always
+    /// answered (shedding happens inside `pop`, before the probe).
+    fn prepare(&self, mut entry: Entry<Request>) -> Option<BatchItem> {
+        // Sampled per entry, not once at spawn: a mutable engine
+        // advances its identity (epoch, and under version-bumping its
+        // GraphVersion) while the server runs, and probes must key
+        // against the identity being served *now*.
+        let engine = &self.shared.engine;
+        let (generation, graph_version, epoch) =
+            (engine.generation(), engine.graph_version(), engine.epoch());
+        let dequeued = Instant::now();
+        if let Some(trace) = entry.payload.trace.as_mut() {
+            trace.mark_at(Stage::Dequeue, dequeued);
+        }
+        let mut hits = Vec::new();
+        if let Some(cache) = &self.shared.cache {
+            let seeds = entry.payload.seeds.iter();
+            hits.extend(seeds.map(|&s| cache.probe(generation, graph_version, s)));
+            if let Some(trace) = entry.payload.trace.as_mut() {
+                trace.mark(Stage::CacheProbe);
+            }
+        }
+        let mut item = BatchItem {
+            entry,
+            dequeued,
+            hits,
+        };
+        // Seed sets are never empty, so no hits means no cache.
+        if item.hits.is_empty() || item.hits.iter().any(Option::is_none) {
+            if let Some(trace) = item.entry.payload.trace.as_mut() {
+                trace.mark(Stage::BatchAssembled);
+            }
+            return Some(item);
+        }
+        let seeds = item.entry.payload.seeds.len();
+        let mut logits = Matrix::zeros(seeds, engine.out_dim());
+        for (i, hit) in item.hits.iter().enumerate() {
+            logits
+                .row_mut(i)
+                .copy_from_slice(hit.as_ref().expect("fully-hot entry"));
+        }
+        if let Some(rec) = &self.shared.recorder {
+            rec.record(EventKind::InlineAnswer, seeds as u64, 0);
+        }
+        // An inline answer reflects the identity sampled at the top of
+        // this probe; the engine may already be ahead.
+        let labels = Delivery {
+            batch_size: 1,
+            partial: false,
+            generation,
+            graph_version,
+            epoch,
+            fwd_start: None,
+        };
+        deliver(&self.shared, labels, [(item, (logits, true))]);
+        None
+    }
+}
+
+/// A forward-worker stage: takes one batch at a time off the batch
+/// channel, resolves it ([`run_batch`]) and replies ([`deliver`]).
+struct ForwardWorker {
+    shared: Arc<Shared>,
+    batch_rx: Arc<Mutex<exec::Receiver<Vec<BatchItem>>>>,
+}
+
+impl ForwardWorker {
+    fn run(self) {
+        let (engine, shared) = (self.shared.engine.as_ref(), self.shared.as_ref());
+        loop {
+            // The guard is held across the blocking recv: waiting
+            // workers queue on the mutex, so batches are handed out one
+            // at a time while compute overlaps.
+            let batch = match self.batch_rx.lock().expect("batch queue poisoned").recv() {
+                Ok(b) => b,
+                Err(_) => break,
+            };
+            let telemetry = shared.telemetry.as_deref();
+            let obs = telemetry.map(|t| (t, t.next_batch_id()));
+            // Sampled per batch (see the batcher's per-entry note): the
+            // whole batch is answered by one engine state, so one
+            // sample before the forward labels and cache-keys it
+            // consistently.
+            let generation = engine.generation();
+            let graph_version = engine.graph_version();
+            let epoch = engine.epoch();
+            // The forward-start instant splits batch-wait from service
+            // in the stage histograms.
+            let fwd_start = Instant::now();
+            let (answers, partial, forwarded) =
+                run_batch(shared, (generation, graph_version), &batch, obs);
+            // Feed the adaptive controller only batches that ran a
+            // forward: an all-cache-resolved batch says nothing about
+            // engine service time and would drag the EWMA toward zero,
+            // collapsing the derived budgets.
+            if let (true, Some(ctrl)) = (forwarded, shared.queue.adaptive()) {
+                ctrl.observe_batch(fwd_start.elapsed(), epoch);
+            }
+            let labels = Delivery {
+                batch_size: batch.len(),
+                partial,
+                generation,
+                graph_version,
+                epoch,
+                fwd_start: Some(fwd_start),
+            };
+            deliver(shared, labels, batch.into_iter().zip(answers));
+        }
+    }
+}
+
+/// What every answer of one [`deliver`] call has in common.
+struct Delivery {
+    /// Queries that shared the forward (1 for an inline answer).
+    batch_size: usize,
+    partial: bool,
+    generation: SnapshotGeneration,
+    graph_version: GraphVersion,
+    epoch: u64,
+    /// When the batch's forward started; `None` for an inline answer,
+    /// which joined no batch and ran no forward.
+    fwd_start: Option<Instant>,
+}
+
+/// The one reply path, shared by the batcher's inline cache answers and
+/// the workers' batched ones: per answered query it counts a late
+/// answer, splits the latency into stages, finishes a sampled trace and
+/// builds the [`QueryAnswer`]; then it records the books (counters,
+/// stage and latency histograms, SLO feed, per-client accounting)
+/// *before* sending — once a client holds its answer, every book already
+/// includes it.
+fn deliver(
+    shared: &Shared,
+    labels: Delivery,
+    answers: impl IntoIterator<Item = (BatchItem, (Matrix, bool))>,
+) {
+    let now = Instant::now();
+    let telemetry = shared.telemetry.as_deref();
+    let mut replies = Vec::with_capacity(labels.batch_size);
+    let mut stage_rows: Vec<[u64; 4]> = Vec::new();
+    let (mut late, mut cached_queries) = (0u64, 0u64);
+    for (item, (logits, cached)) in answers {
+        let (mut entry, dequeued) = (item.entry, item.dequeued);
+        let latency = now.saturating_duration_since(entry.enqueued);
+        late += u64::from(entry.deadline.is_some_and(|d| now >= d));
+        cached_queries += u64::from(cached);
+        if let Some(tel) = telemetry {
+            // queue-wait, batch-wait, service and e2e all derive from
+            // the same four instants, so per query the three stages sum
+            // to the e2e latency up to µs truncation. An inline answer
+            // waited for no batch: its batch-wait is zero and its
+            // service is the cache-row assembly since the pop.
+            let fwd_start = labels.fwd_start.unwrap_or(dequeued);
+            stage_rows.push([
+                duration_us(dequeued.saturating_duration_since(entry.enqueued)),
+                duration_us(fwd_start.saturating_duration_since(dequeued)),
+                duration_us(now.saturating_duration_since(fwd_start)),
+                duration_us(latency),
+            ]);
+            if let Some(mut trace) = entry.payload.trace.take() {
+                if let Some(fwd_start) = labels.fwd_start {
+                    trace.mark_at(Stage::Forward, fwd_start);
+                    trace.mark_at(Stage::Gather, now);
+                }
+                trace.mark(Stage::Reply);
+                tel.finish_trace(&trace);
+            }
+        }
+        let answer = QueryAnswer {
+            logits,
+            batch_size: labels.batch_size,
+            latency,
+            partial: labels.partial,
+            generation: labels.generation,
+            graph_version: labels.graph_version,
+            epoch: labels.epoch,
+            cached,
+        };
+        replies.push((entry.client, entry.payload.reply, answer));
+    }
+    let outcomes = || {
+        replies
+            .iter()
+            .map(|(client, _, answer)| (*client, duration_us(answer.latency)))
+    };
+    let answered = replies.len() as u64;
+    let counters = &shared.counters;
+    counters.queries.fetch_add(answered, Ordering::Relaxed);
+    counters
+        .cached_queries
+        .fetch_add(cached_queries, Ordering::Relaxed);
+    counters.late_answers.fetch_add(late, Ordering::Relaxed);
+    if labels.fwd_start.is_none() {
+        counters
+            .inline_queries
+            .fetch_add(answered, Ordering::Relaxed);
+    }
+    if let Some(tel) = telemetry {
+        tel.record_stage_rows(&stage_rows);
+        if let Some(hub) = &shared.slo {
+            // Every answer here carries the same staleness: the gap
+            // between the epoch it was computed against and the
+            // engine's current one.
+            let epoch_lag = shared.engine.epoch().saturating_sub(labels.epoch);
+            let rows: Vec<AnswerObs> = outcomes()
+                .map(|(_, latency_us)| AnswerObs {
+                    latency_us,
+                    epoch_lag,
+                })
+                .collect();
+            hub.observe_answers(tel.now_us(), &rows);
+        }
+    }
+    {
+        let mut hist = shared.hist.lock().expect("histogram poisoned");
+        for (_, us) in outcomes() {
+            hist.record(us);
+        }
+    }
+    // Per-client answered counts + histograms live in the admission
+    // queue's one client map (one eviction policy, so the books cannot
+    // diverge); one lock per delivery.
+    shared.queue.record_answered(outcomes());
+    for (_, reply, answer) in replies {
+        // A client that gave up is not an error.
+        let _ = reply.send(Ok(QueryResponse::Answered(answer)));
+    }
+}
+
+/// The SLO monitor stage: owns the counter-diffing (availability and
+/// cache-mass feeds), evaluates every tracker on its tick, and runs the
+/// incident lifecycle — breach transition → recorder trigger →
+/// (post-trigger window) → bundle finalize — plus the breach→admission
+/// feedback loop.
+struct SloMonitor {
+    shared: Arc<Shared>,
+}
+
+impl SloMonitor {
+    fn run(self) {
+        let shared = self.shared.as_ref();
+        let (Some(hub), Some(rec), Some(tel)) = (&shared.slo, &shared.recorder, &shared.telemetry)
+        else {
+            return;
+        };
+        let slo_cfg = *hub.config();
+        let tick = slo_cfg.tick.max(Duration::from_millis(1));
+        let adaptive = shared.queue.adaptive();
+        let mut prev = shared.queue.totals();
+        let mut prev_cache = (0u64, 0u64, 0u64);
+        let mut prev_replans = 0u64;
+        while !shared.monitor_stop.load(Ordering::Relaxed) {
+            std::thread::sleep(tick);
+            let now_us = tel.now_us();
+            // Availability bad-mass: rejections and sheds since the
+            // last tick (answers arrive event-driven from `deliver`).
+            let totals = shared.queue.totals();
+            let rejected = totals.rejected.saturating_sub(prev.rejected);
+            let shed = totals.shed.saturating_sub(prev.shed);
+            prev = totals;
+            if rejected > 0 {
+                rec.record_at(now_us, EventKind::Rejected, rejected, 0);
+            }
+            if shed > 0 {
+                rec.record_at(now_us, EventKind::ShedBurst, shed, 0);
+            }
+            if rejected + shed > 0 {
+                hub.observe_unserved(now_us, rejected + shed);
+            }
+            if let Some(c) = &shared.cache {
+                let snap = c.snapshot();
+                let hits = snap.hits.saturating_sub(prev_cache.0);
+                let misses = snap.misses.saturating_sub(prev_cache.1);
+                let evictions = snap.evictions.saturating_sub(prev_cache.2);
+                prev_cache = (snap.hits, snap.misses, snap.evictions);
+                if hits + misses > 0 {
+                    hub.observe_cache(now_us, hits, misses);
+                }
+                if evictions > 0 {
+                    rec.record_at(now_us, EventKind::EvictionChurn, evictions, 0);
+                }
+            }
+            if let Some(ctrl) = adaptive {
+                let replans = ctrl.snapshot().replans;
+                if replans > prev_replans {
+                    rec.record_at(now_us, EventKind::Replan, replans - prev_replans, 0);
+                }
+                prev_replans = replans;
+            }
+            for e in hub.evaluate(now_us) {
+                rec.record_at(
+                    now_us,
+                    EventKind::SloTransition,
+                    e.to.rank(),
+                    (e.fast_burn * 1000.0) as u64,
+                );
+                if e.to == SloState::Breach {
+                    rec.trigger(&format!("slo:{}", e.name), breach_context(hub));
+                }
+            }
+            if let (true, Some(ctrl)) = (slo_cfg.feedback, adaptive) {
+                // Breach ⇒ tighten the derived deadline so DeadlineShed
+                // drops load harder; recovery restores the full budget.
+                ctrl.set_deadline_tighten(if hub.any_breached() {
+                    slo_cfg.tighten
+                } else {
+                    1.0
+                });
+            }
+            rec.finalize_due(false);
+        }
+        // A breach close to shutdown still emits its bundle.
+        rec.finalize_due(true);
+    }
+}
+
 /// Cloneable read-side of a [`Server`]: the same shared books the server
-/// itself reads, behind `Arc`s, so stats snapshots and metric exports
-/// outlive any one `&Server` borrow. Obtained via
-/// [`Server::metrics_source`]; the TCP scrape endpoint
-/// ([`Server::serve_metrics`]) is this source behind a listener.
+/// itself reads, so stats snapshots and metric exports outlive any one
+/// `&Server` borrow. Obtained via [`Server::metrics_source`]; the TCP
+/// scrape endpoint ([`Server::serve_metrics`]) is this source behind a
+/// listener, through its [`ScrapeSource`] implementation.
 ///
 /// Every export derives from one [`StatsSource::snapshot`] call over the
 /// same underlying counters, so at quiescence (no in-flight queries) the
 /// Prometheus series, the JSON dump and [`Server::stats`] agree exactly.
 #[derive(Clone)]
 pub struct StatsSource {
-    queue: Arc<AdmissionQueue<Request>>,
-    counters: Arc<Counters>,
-    hist: Arc<Mutex<LatencyHistogram>>,
-    cache: Option<Arc<LogitCache>>,
-    telemetry: Option<Arc<Telemetry>>,
-    slo: Option<Arc<SloHub>>,
-    recorder: Option<Arc<FlightRecorder>>,
-    build: BuildInfo,
-    started: Instant,
+    shared: Arc<Shared>,
+}
+
+/// Mean queries per executed batch. Every batched query belongs to
+/// exactly one batch, so the occupancy is the ratio of the two counters;
+/// inline cache answers never joined a batch and are excluded. The three
+/// counters are read one by one while the pipeline runs, so `inline` can
+/// be ahead of `queries` — that must read as "no batched queries", not
+/// wrap.
+fn mean_batch(queries: u64, inline_queries: u64, batches: u64) -> f64 {
+    if batches == 0 {
+        0.0
+    } else {
+        queries.saturating_sub(inline_queries) as f64 / batches as f64
+    }
 }
 
 impl StatsSource {
     /// Current counters and latency distribution (the body behind
     /// [`Server::stats`]).
     pub fn snapshot(&self) -> StatsSnapshot {
-        let queries = self.counters.queries.load(Ordering::Relaxed);
-        let batches = self.counters.batches.load(Ordering::Relaxed);
-        let partial_batches = self.counters.partial_batches.load(Ordering::Relaxed);
-        let cached_queries = self.counters.cached_queries.load(Ordering::Relaxed);
-        let inline_queries = self.counters.inline_queries.load(Ordering::Relaxed);
-        let late_answers = self.counters.late_answers.load(Ordering::Relaxed);
-        let uptime_s = self.started.elapsed().as_secs_f64();
-        let admission = self.queue.snapshot();
-        let clients = admission.clients.clone();
-        let batched_queries = queries - inline_queries;
+        let Shared {
+            queue, counters, ..
+        } = self.shared.as_ref();
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        // `deliver` bumps `queries` before `inline_queries`; reading them
+        // in the opposite order keeps inline ≤ queries in this read-out.
+        let inline_queries = load(&counters.inline_queries);
+        let queries = load(&counters.queries);
+        let batches = load(&counters.batches);
+        let uptime_s = self.shared.started.elapsed().as_secs_f64();
+        let admission = queue.snapshot();
         StatsSnapshot {
             queries,
             batches,
-            partial_batches,
-            cached_queries,
+            partial_batches: load(&counters.partial_batches),
+            cached_queries: load(&counters.cached_queries),
             submitted: admission.submitted,
             admitted: admission.submitted - admission.rejected - admission.shed,
             rejected: admission.rejected,
             shed: admission.shed,
-            deadline_misses: admission.deadline_shed + late_answers,
+            deadline_misses: admission.deadline_shed + load(&counters.late_answers),
             queue_depth: admission.queue_depth,
             queue_depth_peak: admission.queue_depth_peak,
-            clients,
+            clients: admission.clients,
             evicted_clients: admission.evicted,
-            shard_batches: self
-                .counters
-                .shard_batches
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            shard_partial_batches: self
-                .counters
-                .shard_partial_batches
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            cache: self.cache.as_ref().map(|c| c.snapshot()),
-            // Every batched query belongs to exactly one batch, so the
-            // mean occupancy is just the ratio of the two counters
-            // (inline cache answers never joined a batch and are
-            // excluded).
-            mean_batch: if batches == 0 {
-                0.0
-            } else {
-                batched_queries as f64 / batches as f64
-            },
+            shard_batches: counters.shard_batches.iter().map(load).collect(),
+            shard_partial_batches: counters.shard_partial_batches.iter().map(load).collect(),
+            cache: self.shared.cache.as_ref().map(|c| c.snapshot()),
+            mean_batch: mean_batch(queries, inline_queries, batches),
             uptime_s,
             throughput_qps: if uptime_s > 0.0 {
                 queries as f64 / uptime_s
             } else {
                 0.0
             },
-            latency: LatencySummary::of(&self.hist.lock().expect("histogram poisoned")),
-            stages: self.telemetry.as_ref().map(|t| t.stage_breakdown()),
+            latency: LatencySummary::of(&self.shared.hist.lock().expect("histogram poisoned")),
+            stages: self.shared.telemetry.as_ref().map(|t| t.stage_breakdown()),
             adaptive: admission.adaptive,
             classes: admission.classes,
-            slo: self.slo.as_ref().map_or_else(Vec::new, |h| h.statuses()),
+            slo: self
+                .shared
+                .slo
+                .as_ref()
+                .map_or_else(Vec::new, |h| h.statuses()),
             incidents: self
+                .shared
                 .recorder
                 .as_ref()
                 .map_or(0, |r| r.incidents().len() as u64),
         }
     }
 
+    /// Notes a scrape of `route` in the flight recorder.
+    fn record_scrape(&self, route: u64) {
+        if let Some(rec) = &self.shared.recorder {
+            rec.record(EventKind::Scrape, route, 0);
+        }
+    }
+
+    /// Every exported series as one snapshot: the stats-derived ones
+    /// ([`export::stat_samples`]) followed by every live registry family (stage
+    /// histograms, kernel/forward/shard counters, SLO gauges) when
+    /// telemetry is enabled.
+    fn scrape(&self) -> RegistrySnapshot {
+        self.record_scrape(0);
+        let hist = self.shared.hist.lock().expect("histogram poisoned").clone();
+        let mut snap = export::stat_samples(&self.snapshot(), hist, self.shared.build);
+        if let Some(tel) = &self.shared.telemetry {
+            snap.merge(tel.registry().snapshot());
+        }
+        snap
+    }
+}
+
+impl ScrapeSource for StatsSource {
+    /// One Prometheus text-format scrape body.
+    fn prometheus(&self) -> String {
+        export::render_prometheus(&self.scrape())
+    }
+
+    /// The same series as [`ScrapeSource::prometheus`], rendered as one
+    /// JSON document (`{"metrics": [...], "histograms": [...]}`).
+    fn metrics_json(&self) -> String {
+        export::render_metrics_json(&self.scrape())
+    }
+
     /// The readiness checks behind `GET /healthz`: ingress open, queue
     /// depth below the effective capacity, and no breached objective.
     /// Degraded (any failed check) answers HTTP 503 on the endpoint.
-    pub fn healthz(&self) -> HealthReport {
-        if let Some(rec) = &self.recorder {
-            rec.record(EventKind::Scrape, 1, 0);
-        }
-        let totals = self.queue.totals();
-        let capacity = self.queue.effective_capacity() as u64;
-        let closed = self.queue.is_closed();
+    fn healthz(&self) -> HealthReport {
+        self.record_scrape(1);
+        let Shared { queue, build, .. } = self.shared.as_ref();
+        let totals = queue.totals();
+        let capacity = queue.effective_capacity() as u64;
+        let closed = queue.is_closed();
         let mut checks = vec![
-            HealthCheck::new(
-                "engine",
-                true,
-                format!("{} shard(s) bound", self.build.shards),
-            ),
+            HealthCheck::new("engine", true, format!("{} shard(s) bound", build.shards)),
             HealthCheck::new(
                 "ingress",
                 !closed,
@@ -1544,7 +1553,7 @@ impl StatsSource {
                 format!("depth {} of {}", totals.depth, capacity),
             ),
         ];
-        if let Some(hub) = &self.slo {
+        if let Some(hub) = &self.shared.slo {
             let breached: Vec<&str> = hub
                 .statuses()
                 .iter()
@@ -1568,16 +1577,20 @@ impl StatsSource {
     /// identity, the top-line serving books, cache and adaptive state,
     /// per-objective SLO status and the incident ledger, as one JSON
     /// object.
-    pub fn debug_state(&self) -> String {
-        if let Some(rec) = &self.recorder {
-            rec.record(EventKind::Scrape, 2, 0);
-        }
+    fn debug_state(&self) -> String {
+        self.record_scrape(2);
+        let Shared {
+            queue,
+            build,
+            recorder,
+            ..
+        } = self.shared.as_ref();
         let stats = self.snapshot();
         let mut o = JsonObj::new();
-        o.str("version", self.build.version)
-            .num("shards", self.build.shards)
-            .str("overload_policy", self.build.policy)
-            .num("workers", self.build.workers)
+        o.str("version", build.version)
+            .num("shards", build.shards)
+            .str("overload_policy", build.policy)
+            .num("workers", build.workers)
             .float("uptime_s", stats.uptime_s)
             .num("queries", stats.queries)
             .num("batches", stats.batches)
@@ -1586,12 +1599,12 @@ impl StatsSource {
             .num("shed", stats.shed)
             .num("deadline_misses", stats.deadline_misses)
             .num("queue_depth", stats.queue_depth)
-            .num("queue_capacity", self.queue.effective_capacity())
-            .bool("ingress_closed", self.queue.is_closed())
+            .num("queue_capacity", queue.effective_capacity())
+            .bool("ingress_closed", queue.is_closed())
             .num("incidents", stats.incidents)
             .bool(
                 "incident_open",
-                self.recorder.as_ref().is_some_and(|r| r.incident_open()),
+                recorder.as_ref().is_some_and(|r| r.incident_open()),
             );
         if let Some(c) = &stats.cache {
             let mut cache = JsonObj::new();
@@ -1631,396 +1644,100 @@ impl StatsSource {
         );
         o.render()
     }
-
-    /// One Prometheus text-format scrape body: the stats-derived series
-    /// (`stat_samples`) plus every registry family (stage histograms,
-    /// kernel/forward/shard counters) when telemetry is enabled.
-    pub fn prometheus(&self) -> String {
-        if let Some(rec) = &self.recorder {
-            rec.record(EventKind::Scrape, 0, 0);
-        }
-        let stats = self.snapshot();
-        let hist = self.hist.lock().expect("histogram poisoned").clone();
-        let (samples, hists) = stat_samples(&stats, hist, Some(self.build));
-        let registry = self.telemetry.as_ref().map(|t| t.registry().snapshot());
-        export::render_prometheus(&samples, &hists, registry.as_ref())
-    }
-
-    /// The same series as [`StatsSource::prometheus`], rendered as one
-    /// JSON document (`{"metrics": [...], "histograms": [...]}`).
-    pub fn metrics_json(&self) -> String {
-        if let Some(rec) = &self.recorder {
-            rec.record(EventKind::Scrape, 0, 0);
-        }
-        let stats = self.snapshot();
-        let hist = self.hist.lock().expect("histogram poisoned").clone();
-        let (samples, hists) = stat_samples(&stats, hist, Some(self.build));
-        let registry = self.telemetry.as_ref().map(|t| t.registry().snapshot());
-        export::render_metrics_json(&samples, &hists, registry.as_ref())
-    }
 }
 
-impl ScrapeSource for StatsSource {
-    fn prometheus(&self) -> String {
-        StatsSource::prometheus(self)
-    }
-
-    fn metrics_json(&self) -> String {
-        StatsSource::metrics_json(self)
-    }
-
-    fn healthz(&self) -> HealthReport {
-        StatsSource::healthz(self)
-    }
-
-    fn debug_state(&self) -> String {
-        StatsSource::debug_state(self)
-    }
-}
-
-/// Renders a [`StatsSnapshot`] (plus the full latency histogram backing
-/// its summary) as exportable samples — the one mapping between the
-/// stats read-out and the `maxk_serve_*` metric names, used by both the
-/// Prometheus and JSON exports so they cannot drift apart.
-fn stat_samples(
-    stats: &StatsSnapshot,
-    hist: LatencyHistogram,
-    build: Option<BuildInfo>,
-) -> (Vec<Sample>, Vec<HistSample>) {
-    let mut samples = vec![
-        Sample::counter(
-            "maxk_serve_queries_total",
-            stats.queries,
-            "Queries answered",
-        ),
-        Sample::counter(
-            "maxk_serve_batches_total",
-            stats.batches,
-            "Batched forward passes executed",
-        ),
-        Sample::counter(
-            "maxk_serve_partial_batches_total",
-            stats.partial_batches,
-            "Batches where a shard ran the seed-restricted partial forward",
-        ),
-        Sample::counter(
-            "maxk_serve_cached_queries_total",
-            stats.cached_queries,
-            "Queries answered entirely from the logit cache",
-        ),
-        Sample::counter(
-            "maxk_serve_submitted_total",
-            stats.submitted,
-            "Queries offered to admission",
-        ),
-        Sample::counter(
-            "maxk_serve_rejected_total",
-            stats.rejected,
-            "Queries turned away at the door",
-        ),
-        Sample::counter(
-            "maxk_serve_shed_total",
-            stats.shed,
-            "Admitted queries dropped before a forward",
-        ),
-        Sample::counter(
-            "maxk_serve_deadline_misses_total",
-            stats.deadline_misses,
-            "Queries that missed their latency budget",
-        ),
-        Sample::gauge(
-            "maxk_serve_queue_depth",
-            stats.queue_depth as f64,
-            "Current ingress queue depth",
-        ),
-        Sample::gauge(
-            "maxk_serve_queue_depth_peak",
-            stats.queue_depth_peak as f64,
-            "Peak ingress queue depth since start",
-        ),
-        Sample::gauge(
-            "maxk_serve_uptime_seconds",
-            stats.uptime_s,
-            "Seconds since the server started",
-        ),
-    ];
-    if let Some(b) = build {
-        samples.push(
-            Sample::gauge(
-                "maxk_serve_build_info",
-                1.0,
-                "Build/config identity (value is always 1; the labels carry the information)",
-            )
-            .with_label("version", b.version)
-            .with_label("shards", b.shards)
-            .with_label("policy", b.policy)
-            .with_label("workers", b.workers),
-        );
-    }
-    for (s, &n) in stats.shard_batches.iter().enumerate() {
-        samples.push(
-            Sample::counter(
-                "maxk_serve_shard_batches_total",
-                n,
-                "Batches each shard participated in",
-            )
-            .with_label("shard", s),
-        );
-    }
-    for (s, &n) in stats.shard_partial_batches.iter().enumerate() {
-        samples.push(
-            Sample::counter(
-                "maxk_serve_shard_partial_batches_total",
-                n,
-                "Batches each shard served via the partial path",
-            )
-            .with_label("shard", s),
-        );
-    }
-    if let Some(cache) = &stats.cache {
-        samples.push(Sample::counter(
-            "maxk_serve_cache_hits_total",
-            cache.hits,
-            "Seed instances answered from resident cache rows",
-        ));
-        samples.push(Sample::counter(
-            "maxk_serve_cache_misses_total",
-            cache.misses,
-            "Seed instances that required a forward",
-        ));
-        samples.push(Sample::counter(
-            "maxk_serve_cache_coalesced_total",
-            cache.coalesced,
-            "Seed instances that parked on another batch's in-flight computation",
-        ));
-        samples.push(Sample::counter(
-            "maxk_serve_cache_evictions_total",
-            cache.evictions,
-            "Cache rows evicted under capacity pressure",
-        ));
-        samples.push(Sample::counter(
-            "maxk_serve_cache_invalidated_total",
-            cache.invalidated,
-            "Cache rows dropped by mutation dirty-cone invalidation",
-        ));
-        samples.push(Sample::gauge(
-            "maxk_serve_cache_resident_rows",
-            cache.resident_rows as f64,
-            "Logit rows currently resident",
-        ));
-        samples.push(Sample::gauge(
-            "maxk_serve_cache_resident_bytes",
-            cache.resident_bytes as f64,
-            "Bytes held by resident logit rows",
-        ));
-        samples.push(Sample::gauge(
-            "maxk_serve_cache_capacity_rows",
-            cache.capacity as f64,
-            "Configured cache capacity in rows",
-        ));
-    }
-    if let Some(a) = &stats.adaptive {
-        samples.push(Sample::gauge(
-            "maxk_serve_admission_batch_service_ewma_us",
-            a.ewma_us as f64,
-            "EWMA of observed batch service time (µs)",
-        ));
-        samples.push(Sample::gauge(
-            "maxk_serve_admission_derived_capacity",
-            a.derived_capacity as f64,
-            "Queue capacity derived by the adaptive controller",
-        ));
-        samples.push(Sample::gauge(
-            "maxk_serve_admission_derived_deadline_us",
-            a.derived_deadline_us as f64,
-            "Default deadline budget derived by the adaptive controller (µs)",
-        ));
-        samples.push(Sample::counter(
-            "maxk_serve_admission_replans_total",
-            a.replans,
-            "Adaptive re-plans triggered by snapshot/epoch swaps",
-        ));
-    }
-    for c in &stats.classes {
-        samples.push(
-            Sample::counter(
-                "maxk_serve_admission_class_submitted_total",
-                c.submitted,
-                "Queries submitted per traffic class",
-            )
-            .with_label("class", c.name),
-        );
-        samples.push(
-            Sample::counter(
-                "maxk_serve_admission_class_admitted_total",
-                c.popped,
-                "Queries handed to the batcher per traffic class",
-            )
-            .with_label("class", c.name),
-        );
-        samples.push(
-            Sample::counter(
-                "maxk_serve_admission_class_rejected_total",
-                c.rejected,
-                "Queries turned away per traffic class",
-            )
-            .with_label("class", c.name),
-        );
-        samples.push(
-            Sample::counter(
-                "maxk_serve_admission_class_shed_total",
-                c.shed,
-                "Admitted queries dropped per traffic class",
-            )
-            .with_label("class", c.name),
-        );
-        samples.push(
-            Sample::gauge(
-                "maxk_serve_admission_class_weight",
-                c.weight,
-                "Configured weight per traffic class",
-            )
-            .with_label("class", c.name),
-        );
-    }
-    let hists = vec![HistSample {
-        name: "maxk_serve_latency_us",
-        labels: Vec::new(),
-        hist,
-        help: "Server-side end-to-end latency (enqueue to reply)",
-    }];
-    (samples, hists)
-}
-
-/// The uncached batch path: one forward over the whole seed union.
-/// Returns each query's `(logits, cached)` in batch order, the
-/// batch-level partial flag, and whether a forward ran (always true
-/// here — the adaptive controller's service-time signal).
-fn run_batch_uncached<E: BatchEngine + ?Sized>(
-    engine: &E,
-    counters: &Counters,
+/// Resolves one batch into per-query logits: one planned forward over
+/// the seeds nobody else has computed, everything else from the cache.
+///
+/// With a cache, the batch's probe misses are claimed: seeds that became
+/// resident since the probe are late hits, seeds another batch is
+/// already computing are parked on, and only the seeds this batch
+/// **leads** reach the engine — their rows are published for everyone
+/// else. Without one, every seed is this batch's own and the union is
+/// forwarded whole. Either way each query's rows are then copied from
+/// wherever they ended up: its pinned probe hits, another batch's
+/// published row, or this batch's own forward.
+///
+/// Returns each query's `(logits, cached)` in batch order (`cached`:
+/// no row came from this batch's own forwards), the batch-level partial
+/// flag, and whether any forward actually ran (false for a batch fully
+/// resolved by residency and other batches' in-flight work).
+fn run_batch(
+    shared: &Shared,
+    (generation, graph_version): (SnapshotGeneration, GraphVersion),
     batch: &[BatchItem],
     obs: Option<(&Telemetry, u64)>,
 ) -> (Vec<(Matrix, bool)>, bool, bool) {
-    let mut union: Vec<u32> = batch
+    let forward = |union: &[u32]| {
+        let outcome = shared.engine.forward_union(union, obs);
+        shared.counters.count_forward(&outcome);
+        outcome
+    };
+    // Every seed instance the batcher's probe left unanswered (all of
+    // them without a cache), in the sorted order `forward_union` needs.
+    let mut missing: Vec<u32> = batch
         .iter()
-        .flat_map(|item| item.entry.payload.seeds.iter().copied())
+        .flat_map(|item| {
+            let seeds = item.entry.payload.seeds.iter().enumerate();
+            seeds.filter_map(|(i, &s)| item.hit(i).is_none().then_some(s))
+        })
         .collect();
-    union.sort_unstable();
-    union.dedup();
-    let outcome = engine.forward_union_observed(&union, obs);
-    counters.count_forward(&outcome);
-    let partial = outcome.any_partial();
-    let answers = batch
-        .iter()
-        .map(|item| (outcome.logits.gather(&item.entry.payload.seeds), false))
-        .collect();
-    (answers, partial, true)
-}
-
-/// The cached batch path: claim the batch's missing seeds, forward only
-/// the claimed lead union, fill the cache, park on other batches' work
-/// for follower seeds, and assemble each query's rows from probe hits +
-/// claim results. Returns each query's `(logits, cached)` in batch
-/// order, the batch-level partial flag, and whether any forward
-/// actually ran (false for a batch fully resolved by residency and
-/// other batches' in-flight work).
-fn run_batch_cached<E: BatchEngine + ?Sized>(
-    engine: &E,
-    counters: &Counters,
-    cache: &Arc<LogitCache>,
-    generation: SnapshotGeneration,
-    graph_version: GraphVersion,
-    batch: &[BatchItem],
-    obs: Option<(&Telemetry, u64)>,
-) -> (Vec<(Matrix, bool)>, bool, bool) {
-    // Aggregate the probe misses: per unique seed, how many answered
-    // instances in this batch want it (the occurrence counts keep the
-    // cache's per-instance books exact). BTreeMap iteration yields the
-    // sorted order `forward_union` requires.
-    let mut missing: BTreeMap<u32, u32> = BTreeMap::new();
-    for item in batch {
-        for (i, &s) in item.entry.payload.seeds.iter().enumerate() {
-            if item.hits[i].is_none() {
-                *missing.entry(s).or_insert(0) += 1;
+    missing.sort_unstable();
+    // Rows other batches computed, and this batch's own forwards: the
+    // lead union, then (rarely) the seeds of a leader that aborted.
+    let mut borrowed: HashMap<u32, Arc<[f32]>> = HashMap::new();
+    let (mut lead_forward, mut fallback_forward) = (None, None);
+    if let Some(cache) = &shared.cache {
+        // Per unique seed, how many answered instances in this batch
+        // want it (the occurrence counts keep the cache's per-instance
+        // books exact).
+        let mut wanted: Vec<(u32, u32)> = Vec::new();
+        for &s in &missing {
+            match wanted.last_mut() {
+                Some((last, n)) if *last == s => *n += 1,
+                _ => wanted.push((s, 1)),
             }
         }
-    }
-    let missing: Vec<(u32, u32)> = missing.into_iter().collect();
-    let claim = cache.claim(generation, graph_version, &missing);
-    let mut rows: HashMap<u32, Arc<[f32]>> = HashMap::new();
-    // Seeds whose rows this batch computed itself — queries touching one
-    // are not "cached" answers.
-    let mut computed_here: HashSet<u32> = HashSet::new();
-    for (s, row) in &claim.hits {
-        rows.insert(*s, Arc::clone(row));
-    }
-    let mut partial = false;
-    let mut forwarded = false;
-    // Lead seeds: the shrunken union this batch actually forwards. The
-    // leader fills *before* waiting on any follows, so two batches
-    // leading/following each other's seeds can never deadlock.
-    let lead_seeds = claim.lead.seeds();
-    if !claim.lead.is_empty() {
-        forwarded = true;
-        let outcome = engine.forward_union_observed(&lead_seeds, obs);
-        counters.count_forward(&outcome);
-        partial |= outcome.any_partial();
-        let gathered = outcome.logits.gather(&lead_seeds);
-        for (s, row) in claim.lead.fill(&gathered) {
-            computed_here.insert(s);
-            rows.insert(s, row);
+        let claim = cache.claim(generation, graph_version, &wanted);
+        borrowed.extend(claim.hits);
+        // The leader fills *before* waiting on any follows, so two
+        // batches leading/following each other's seeds can never
+        // deadlock.
+        if !claim.lead.is_empty() {
+            let lead_seeds = claim.lead.seeds();
+            let outcome = forward(&lead_seeds);
+            claim.lead.fill(&outcome.logits.gather(&lead_seeds));
+            lead_forward = Some(outcome);
         }
-    }
-    // Follower seeds: park on the owning batch's computation. An aborted
-    // leader (its worker died before filling) yields `None`; those seeds
-    // fall back to a forward of our own rather than hanging.
-    let mut fallback: Vec<u32> = Vec::new();
-    for (s, handle) in claim.follows {
-        match handle.wait() {
-            Some(row) => {
-                rows.insert(s, row);
+        // Follower seeds: park on the owning batch's computation. An
+        // aborted leader (its worker died before filling) yields `None`;
+        // those seeds fall back to a forward of our own rather than
+        // hanging. `claim` keeps `wanted`'s order, so they stay sorted.
+        let mut fallback: Vec<u32> = Vec::new();
+        for (s, handle) in claim.follows {
+            match handle.wait() {
+                Some(row) => {
+                    borrowed.insert(s, row);
+                }
+                None => fallback.push(s),
             }
-            None => fallback.push(s),
         }
+        if !fallback.is_empty() {
+            // Register uncounted leadership *before* the recompute so a
+            // mutation's invalidation racing it poisons the slots and
+            // the fill skips the stale rows. Seeds re-led by another
+            // claim in the meantime stay with that leader.
+            let lead = cache.lead_uncounted(generation, graph_version, &fallback);
+            let outcome = forward(&fallback);
+            lead.fill_from(&fallback, &outcome.logits.gather(&fallback));
+            fallback_forward = Some(outcome);
+        }
+    } else {
+        missing.dedup();
+        lead_forward = Some(forward(&missing));
     }
-    if !fallback.is_empty() {
-        forwarded = true;
-        fallback.sort_unstable();
-        fallback.dedup();
-        // Register uncounted leadership *before* the recompute so a
-        // mutation's invalidation racing it poisons the slots and the
-        // fill below skips the stale rows — the raw `fill_rows` hook
-        // this path used to call has no in-flight entry to poison and
-        // would land pre-mutation bits.
-        let lead = cache.lead_uncounted(generation, graph_version, &fallback);
-        let outcome = engine.forward_union_observed(&fallback, obs);
-        counters.count_forward(&outcome);
-        partial |= outcome.any_partial();
-        let gathered = outcome.logits.gather(&fallback);
-        let lead_seeds = lead.seeds();
-        if lead_seeds.len() == fallback.len() {
-            lead.fill(&gathered);
-        } else if !lead_seeds.is_empty() {
-            // Some fallback seeds were re-led by another in-flight
-            // claim in the meantime; publish only the rows we lead.
-            let (_, cols) = gathered.shape();
-            let mut sub = Matrix::zeros(lead_seeds.len(), cols);
-            for (j, s) in lead_seeds.iter().enumerate() {
-                let i = fallback.binary_search(s).expect("lead seed from fallback");
-                sub.row_mut(j).copy_from_slice(gathered.row(i));
-            }
-            lead.fill(&sub);
-        }
-        for (i, &s) in fallback.iter().enumerate() {
-            computed_here.insert(s);
-            rows.insert(s, Arc::from(gathered.row(i)));
-        }
-    }
-    // Assemble each query's rows in request order and decide its cached
-    // flag: true iff none of its rows came from this batch's own
-    // forwards.
-    let out_dim = engine.out_dim();
+    let computed = [lead_forward, fallback_forward];
+    let out_dim = shared.engine.out_dim();
     let answers = batch
         .iter()
         .map(|item| {
@@ -2028,13 +1745,13 @@ fn run_batch_cached<E: BatchEngine + ?Sized>(
             let mut logits = Matrix::zeros(seeds.len(), out_dim);
             let mut cached = true;
             for (i, &s) in seeds.iter().enumerate() {
-                let row: &[f32] = match &item.hits[i] {
+                let row: &[f32] = match item.hit(i).or_else(|| borrowed.get(&s)) {
                     Some(row) => row,
                     None => {
-                        if computed_here.contains(&s) {
-                            cached = false;
-                        }
-                        rows.get(&s).expect("every missing seed resolved")
+                        cached = false;
+                        let mut own = computed.iter().flatten();
+                        own.find_map(|outcome| outcome.logits.row(s))
+                            .expect("every missing seed resolved")
                     }
                 };
                 logits.row_mut(i).copy_from_slice(row);
@@ -2042,13 +1759,9 @@ fn run_batch_cached<E: BatchEngine + ?Sized>(
             (logits, cached)
         })
         .collect();
-    (answers, partial, forwarded)
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.join_threads();
-    }
+    let mut own = computed.iter().flatten();
+    let partial = own.clone().any(BatchOutcome::any_partial);
+    (answers, partial, own.next().is_some())
 }
 
 /// A query submitted but not yet resolved: the receipt half of
@@ -2091,9 +1804,7 @@ impl PendingQuery {
 /// ([`PendingQuery::wait`]) or fire-and-collect.
 #[derive(Clone)]
 pub struct ServerHandle {
-    queue: Arc<AdmissionQueue<Request>>,
-    num_nodes: usize,
-    telemetry: Option<Arc<Telemetry>>,
+    shared: Arc<Shared>,
 }
 
 impl ServerHandle {
@@ -2135,11 +1846,12 @@ impl ServerHandle {
     /// against a client's budget); [`ServeError::ChannelClosed`] when the
     /// server has shut down.
     pub fn request(&self, seeds: &[u32], opts: QueryOptions) -> Result<PendingQuery, ServeError> {
-        check_seeds(seeds, self.num_nodes)?;
+        check_seeds(seeds, self.num_nodes())?;
         let (reply_tx, reply_rx) = StdThreadExecutor.unbounded();
         // Sampled queries carry a trace; the unsampled path costs one
         // relaxed atomic increment (and nothing at all with tracing off).
         let mut trace = self
+            .shared
             .telemetry
             .as_ref()
             .and_then(|t| t.begin_trace(opts.client, seeds.len()));
@@ -2152,6 +1864,7 @@ impl ServerHandle {
             trace,
         };
         match self
+            .shared
             .queue
             .submit_classed(opts.client, opts.class, opts.deadline, request)?
         {
@@ -2179,7 +1892,7 @@ impl ServerHandle {
 
     /// Nodes served (valid seeds are `0..num_nodes`).
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.shared.engine.num_nodes()
     }
 }
 
@@ -2212,6 +1925,31 @@ mod tests {
         resp.expect("server running")
             .into_answer()
             .expect("query answered")
+    }
+
+    /// A fault injector over [`engine`] plus a latency objective and a
+    /// stall derived from what this host does when healthy: the
+    /// objective is `max(1 ms, 4 × p99)` of 80 single-seed queries (64 of
+    /// them warm), the stall `10 ×` the objective — so the fault breaches
+    /// on any machine and a cleared fault recovers on any machine. (The
+    /// tests stretch their windows to hold at least 8 stalled forwards.)
+    fn probed_fault() -> (
+        Arc<crate::FaultInjector<InferenceEngine>>,
+        Duration,
+        Duration,
+    ) {
+        let inner = Arc::try_unwrap(engine()).unwrap_or_else(|_| panic!("sole owner"));
+        let faulty = Arc::new(crate::FaultInjector::new(inner));
+        let probe = Server::builder()
+            .batch_window(Duration::ZERO)
+            .workers(1)
+            .start(Arc::clone(&faulty));
+        for i in 0..80u32 {
+            let _ = answer(probe.handle().query(&[i % 16]));
+        }
+        let p99_us = probe.shutdown().latency.p99_us;
+        let objective = Duration::from_micros(4 * p99_us as u64).max(Duration::from_millis(1));
+        (faulty, objective, 10 * objective)
     }
 
     #[test]
@@ -2438,6 +2176,15 @@ mod tests {
         assert_eq!(stats.deadline_misses, 1);
         assert_eq!(stats.submitted, 1);
         assert_eq!(stats.admitted, 0);
+    }
+
+    #[test]
+    fn mean_batch_survives_inline_counter_running_ahead() {
+        // Mid-flight the batcher can bump `inline_queries` between the
+        // snapshot's two loads; that must read as no batched queries.
+        assert_eq!(mean_batch(7, 8, 3), 0.0);
+        assert_eq!(mean_batch(0, 0, 0), 0.0);
+        assert_eq!(mean_batch(10, 4, 3), 2.0);
     }
 
     #[test]
@@ -2743,31 +2490,25 @@ mod tests {
 
     #[test]
     fn injected_fault_breaches_slo_and_emits_exactly_one_incident() {
-        use crate::engine::FaultInjector;
         use crate::telemetry::{SloSpec, SloSpecSet};
+        let (faulty, objective, stall) = probed_fault();
         // Aggressive windows so a sub-second test observes the full
         // trigger → finalize lifecycle; an hour of cooldown proves the
         // sustained breach cannot re-trigger.
         let slo = SloConfig {
-            specs: SloSpecSet::new().with_spec(SloSpec::latency(
-                "latency",
-                Duration::from_micros(300),
-                0.05,
-            )),
-            fast_window: Duration::from_millis(400),
-            slow_window: Duration::from_millis(800),
+            specs: SloSpecSet::new().with_spec(SloSpec::latency("latency", objective, 0.05)),
+            fast_window: Duration::from_millis(400).max(8 * stall),
+            slow_window: Duration::from_millis(800).max(16 * stall),
             tick: Duration::from_millis(5),
             min_events: 4,
             recorder: crate::RecorderConfig {
-                post_trigger: Duration::from_millis(50),
+                post_trigger: Duration::from_millis(50).max(3 * stall),
                 cooldown: Duration::from_secs(3600),
                 ..crate::RecorderConfig::default()
             },
             ..SloConfig::default()
         };
-        let inner = Arc::try_unwrap(engine()).unwrap_or_else(|_| panic!("sole owner"));
-        let faulty = Arc::new(FaultInjector::new(inner));
-        faulty.set_forward_delay(Duration::from_millis(5));
+        faulty.set_forward_delay(stall);
         let server = Server::builder()
             .batch_window(Duration::ZERO)
             .workers(1)
@@ -2808,24 +2549,18 @@ mod tests {
 
     #[test]
     fn slo_breach_tightens_adaptive_deadline_and_recovery_restores_it() {
-        use crate::engine::FaultInjector;
         use crate::telemetry::{SloSpec, SloSpecSet};
+        let (faulty, objective, stall) = probed_fault();
         let slo = SloConfig {
-            specs: SloSpecSet::new().with_spec(SloSpec::latency(
-                "latency",
-                Duration::from_micros(300),
-                0.05,
-            )),
-            fast_window: Duration::from_millis(300),
-            slow_window: Duration::from_millis(600),
+            specs: SloSpecSet::new().with_spec(SloSpec::latency("latency", objective, 0.05)),
+            fast_window: Duration::from_millis(300).max(8 * stall),
+            slow_window: Duration::from_millis(600).max(16 * stall),
             tick: Duration::from_millis(5),
             min_events: 4,
             tighten: 0.5,
             ..SloConfig::default()
         };
-        let inner = Arc::try_unwrap(engine()).unwrap_or_else(|_| panic!("sole owner"));
-        let faulty = Arc::new(FaultInjector::new(inner));
-        faulty.set_forward_delay(Duration::from_millis(5));
+        faulty.set_forward_delay(stall);
         let server = Server::builder()
             .batch_window(Duration::ZERO)
             .workers(1)

@@ -1,5 +1,8 @@
 //! Exporters: Prometheus text exposition, a JSON metrics dump, the
-//! Chrome-trace (`trace_event`) span dump, and the TCP scrape endpoint.
+//! Chrome-trace (`trace_event`) span dump, and the TCP scrape endpoint —
+//! plus `stat_samples`, the one mapping from the server's
+//! [`crate::StatsSnapshot`] books to the `maxk_serve_*` series both
+//! renderers emit.
 //!
 //! Everything here is hand-rolled over `std` (the build vendors no HTTP
 //! or serialization crates): the scrape endpoint is a minimal HTTP/1.1
@@ -11,9 +14,12 @@
 //! [exposition format]: https://prometheus.io/docs/instrumenting/exposition_formats/
 
 use super::health::HealthReport;
-use super::registry::RegistrySnapshot;
+use super::registry::{MetricSample, RegistrySnapshot};
 use super::trace::SpanRecord;
+use crate::admission::{AdaptiveSnapshot, ClassStats};
+use crate::cache::CacheSnapshot;
 use crate::metrics::LatencyHistogram;
+use crate::server::{BuildInfo, StatsSnapshot};
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -29,8 +35,9 @@ fn escape_label(v: &str) -> String {
         .replace('\n', "\\n")
 }
 
-/// Escapes a JSON string value.
-fn escape_json(v: &str) -> String {
+/// Escapes a JSON string value (the recorder and health modules
+/// hand-roll JSON too).
+pub(crate) fn escape_json(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {
@@ -46,12 +53,6 @@ fn escape_json(v: &str) -> String {
         }
     }
     out
-}
-
-/// Crate-internal alias for [`escape_json`] (the recorder and health
-/// modules hand-roll JSON too).
-pub(crate) fn escape_json_str(v: &str) -> String {
-    escape_json(v)
 }
 
 fn finite(v: f64) -> f64 {
@@ -73,118 +74,31 @@ fn label_block(labels: &[(&'static str, String)]) -> String {
     format!("{{{}}}", inner.join(","))
 }
 
-/// One plain sample for the Prometheus/JSON renderers: stats-derived
-/// series (the [`crate::StatsSnapshot`] books) are folded into the same
-/// shape as registry samples so both exporters treat them uniformly.
-#[derive(Debug, Clone)]
-pub struct Sample {
-    /// Family name.
-    pub name: &'static str,
-    /// Label pairs.
-    pub labels: Vec<(&'static str, String)>,
-    /// Sampled value (counters and gauges both render as numbers).
-    pub value: f64,
-    /// Family help text.
-    pub help: &'static str,
-    /// `true` renders `# TYPE … counter`, `false` renders a gauge.
-    pub counter: bool,
-}
-
-impl Sample {
-    /// An unlabeled counter sample.
-    pub fn counter(name: &'static str, value: u64, help: &'static str) -> Self {
-        Sample {
-            name,
-            labels: Vec::new(),
-            value: value as f64,
-            help,
-            counter: true,
-        }
-    }
-
-    /// An unlabeled gauge sample.
-    pub fn gauge(name: &'static str, value: f64, help: &'static str) -> Self {
-        Sample {
-            name,
-            labels: Vec::new(),
-            value,
-            help,
-            counter: false,
-        }
-    }
-
-    /// Attaches one label pair.
-    #[must_use]
-    pub fn with_label(mut self, key: &'static str, value: impl ToString) -> Self {
-        self.labels.push((key, value.to_string()));
-        self
-    }
-}
-
-/// A named histogram for the renderers.
-#[derive(Debug, Clone)]
-pub struct HistSample {
-    /// Family name.
-    pub name: &'static str,
-    /// Label pairs.
-    pub labels: Vec<(&'static str, String)>,
-    /// The distribution.
-    pub hist: LatencyHistogram,
-    /// Family help text.
-    pub help: &'static str,
-}
-
-/// Renders the Prometheus text exposition for plain samples, histograms
-/// and an optional registry snapshot. `# HELP`/`# TYPE` headers are
+/// Renders the Prometheus text exposition of one snapshot — the live
+/// registry, merged by the caller with whatever stats-derived series it
+/// serves ([`RegistrySnapshot::merge`]). `# HELP`/`# TYPE` headers are
 /// emitted once per family, in first-appearance order.
-pub fn render_prometheus(
-    samples: &[Sample],
-    hists: &[HistSample],
-    registry: Option<&RegistrySnapshot>,
-) -> String {
+pub fn render_prometheus(snap: &RegistrySnapshot) -> String {
     let mut out = String::new();
     let mut seen: Vec<&'static str> = Vec::new();
-    let mut header = |out: &mut String, name: &'static str, help: &str, kind: &str| {
+    let mut header = |out: &mut String, name: &'static str, kind: &str| {
         if !seen.contains(&name) {
             seen.push(name);
+            let help = snap.help.get(name).copied().unwrap_or("");
             let _ = writeln!(out, "# HELP {name} {help}");
             let _ = writeln!(out, "# TYPE {name} {kind}");
         }
     };
-    for s in samples {
-        header(
-            &mut out,
-            s.name,
-            s.help,
-            if s.counter { "counter" } else { "gauge" },
-        );
+    for s in &snap.counters {
+        header(&mut out, s.name, "counter");
+        let _ = writeln!(out, "{}{} {}", s.name, label_block(&s.labels), s.value);
+    }
+    for s in &snap.gauges {
+        header(&mut out, s.name, "gauge");
         let _ = writeln!(out, "{}{} {}", s.name, label_block(&s.labels), num(s.value));
     }
-    if let Some(reg) = registry {
-        for s in &reg.counters {
-            let help = reg.help.get(s.name).copied().unwrap_or("");
-            header(&mut out, s.name, help, "counter");
-            let _ = writeln!(out, "{}{} {}", s.name, label_block(&s.labels), s.value);
-        }
-        for s in &reg.gauges {
-            let help = reg.help.get(s.name).copied().unwrap_or("");
-            header(&mut out, s.name, help, "gauge");
-            let _ = writeln!(out, "{}{} {}", s.name, label_block(&s.labels), s.value);
-        }
-    }
-    let mut all_hists: Vec<HistSample> = hists.to_vec();
-    if let Some(reg) = registry {
-        for s in &reg.histograms {
-            all_hists.push(HistSample {
-                name: s.name,
-                labels: s.labels.clone(),
-                hist: s.value.clone(),
-                help: reg.help.get(s.name).copied().unwrap_or(""),
-            });
-        }
-    }
-    for h in &all_hists {
-        header(&mut out, h.name, h.help, "histogram");
+    for h in &snap.histograms {
+        header(&mut out, h.name, "histogram");
         render_histogram(&mut out, h);
     }
     out
@@ -202,8 +116,8 @@ fn num(v: f64) -> String {
 /// Renders one histogram family entry: cumulative `le` buckets at the
 /// log₂ bucket upper bounds (`1, 3, 7, …, 2^(b+1)-1`), up to the last
 /// occupied bucket, then `+Inf`, `_sum` and `_count`.
-fn render_histogram(out: &mut String, h: &HistSample) {
-    let counts = h.hist.bucket_counts();
+fn render_histogram(out: &mut String, h: &MetricSample<LatencyHistogram>) {
+    let counts = h.value.bucket_counts();
     let last = counts.iter().rposition(|&c| c > 0).unwrap_or(0).min(62);
     let labels = &h.labels;
     let mut cumulative = 0u64;
@@ -227,21 +141,21 @@ fn render_histogram(out: &mut String, h: &HistSample) {
         "{}_bucket{} {}",
         h.name,
         label_block(&with_inf),
-        h.hist.count()
+        h.value.count()
     );
     let _ = writeln!(
         out,
         "{}_sum{} {}",
         h.name,
         label_block(labels),
-        h.hist.sum_us()
+        h.value.sum_us()
     );
     let _ = writeln!(
         out,
         "{}_count{} {}",
         h.name,
         label_block(labels),
-        h.hist.count()
+        h.value.count()
     );
 }
 
@@ -269,62 +183,279 @@ fn json_hist(h: &LatencyHistogram) -> String {
 /// Renders the same metric set as [`render_prometheus`] as one JSON
 /// object: `{"metrics": [...], "histograms": [...]}` with each sample's
 /// name, labels and value.
-pub fn render_metrics_json(
-    samples: &[Sample],
-    hists: &[HistSample],
-    registry: Option<&RegistrySnapshot>,
-) -> String {
-    let mut metrics: Vec<String> = Vec::new();
-    for s in samples {
-        metrics.push(format!(
+pub fn render_metrics_json(snap: &RegistrySnapshot) -> String {
+    let metric = |name: &str, labels: &[(&'static str, String)], value: String| {
+        format!(
             "{{\"name\":\"{}\",\"labels\":{},\"value\":{}}}",
-            escape_json(s.name),
-            json_labels(&s.labels),
-            num(s.value)
-        ));
-    }
-    if let Some(reg) = registry {
-        for s in &reg.counters {
-            metrics.push(format!(
-                "{{\"name\":\"{}\",\"labels\":{},\"value\":{}}}",
-                escape_json(s.name),
-                json_labels(&s.labels),
-                s.value
-            ));
-        }
-        for s in &reg.gauges {
-            metrics.push(format!(
-                "{{\"name\":\"{}\",\"labels\":{},\"value\":{}}}",
-                escape_json(s.name),
-                json_labels(&s.labels),
-                s.value
-            ));
-        }
-    }
-    let mut hist_objs: Vec<String> = Vec::new();
-    for h in hists {
-        hist_objs.push(format!(
-            "{{\"name\":\"{}\",\"labels\":{},\"summary\":{}}}",
-            escape_json(h.name),
-            json_labels(&h.labels),
-            json_hist(&h.hist)
-        ));
-    }
-    if let Some(reg) = registry {
-        for s in &reg.histograms {
-            hist_objs.push(format!(
+            escape_json(name),
+            json_labels(labels),
+            value
+        )
+    };
+    let counters = snap
+        .counters
+        .iter()
+        .map(|s| metric(s.name, &s.labels, s.value.to_string()));
+    let gauges = snap
+        .gauges
+        .iter()
+        .map(|s| metric(s.name, &s.labels, num(s.value)));
+    let metrics: Vec<String> = counters.chain(gauges).collect();
+    let hist_objs: Vec<String> = snap
+        .histograms
+        .iter()
+        .map(|s| {
+            format!(
                 "{{\"name\":\"{}\",\"labels\":{},\"summary\":{}}}",
                 escape_json(s.name),
                 json_labels(&s.labels),
                 json_hist(&s.value)
-            ));
-        }
-    }
+            )
+        })
+        .collect();
     format!(
         "{{\"metrics\":[{}],\"histograms\":[{}]}}",
         metrics.join(","),
         hist_objs.join(",")
     )
+}
+
+/// Renders a [`StatsSnapshot`] (plus the full latency histogram backing
+/// its summary) as registry-shaped samples — the one mapping between the
+/// stats read-out and the `maxk_serve_*` metric names, used by both the
+/// Prometheus and JSON exports so they cannot drift apart.
+pub(crate) fn stat_samples(
+    stats: &StatsSnapshot,
+    hist: LatencyHistogram,
+    build: BuildInfo,
+) -> RegistrySnapshot {
+    let mut snap = RegistrySnapshot::default();
+    let s = &mut snap;
+    s.counter(
+        "maxk_serve_queries_total",
+        &[],
+        stats.queries,
+        "Queries answered",
+    );
+    s.counter(
+        "maxk_serve_batches_total",
+        &[],
+        stats.batches,
+        "Batched forward passes executed",
+    );
+    s.counter(
+        "maxk_serve_partial_batches_total",
+        &[],
+        stats.partial_batches,
+        "Batches where a shard ran the seed-restricted partial forward",
+    );
+    s.counter(
+        "maxk_serve_cached_queries_total",
+        &[],
+        stats.cached_queries,
+        "Queries answered entirely from the logit cache",
+    );
+    s.counter(
+        "maxk_serve_submitted_total",
+        &[],
+        stats.submitted,
+        "Queries offered to admission",
+    );
+    s.counter(
+        "maxk_serve_rejected_total",
+        &[],
+        stats.rejected,
+        "Queries turned away at the door",
+    );
+    s.counter(
+        "maxk_serve_shed_total",
+        &[],
+        stats.shed,
+        "Admitted queries dropped before a forward",
+    );
+    s.counter(
+        "maxk_serve_deadline_misses_total",
+        &[],
+        stats.deadline_misses,
+        "Queries that missed their latency budget",
+    );
+    s.gauge(
+        "maxk_serve_queue_depth",
+        &[],
+        stats.queue_depth as f64,
+        "Current ingress queue depth",
+    );
+    s.gauge(
+        "maxk_serve_queue_depth_peak",
+        &[],
+        stats.queue_depth_peak as f64,
+        "Peak ingress queue depth since start",
+    );
+    s.gauge(
+        "maxk_serve_uptime_seconds",
+        &[],
+        stats.uptime_s,
+        "Seconds since the server started",
+    );
+    s.gauge(
+        "maxk_serve_build_info",
+        &[
+            ("version", build.version),
+            ("shards", &build.shards.to_string()),
+            ("policy", build.policy),
+            ("workers", &build.workers.to_string()),
+        ],
+        1.0,
+        "Build/config identity (value is always 1; the labels carry the information)",
+    );
+    for (shard, &n) in stats.shard_batches.iter().enumerate() {
+        let labels = [("shard", &*shard.to_string())];
+        s.counter(
+            "maxk_serve_shard_batches_total",
+            &labels,
+            n,
+            "Batches each shard participated in",
+        );
+    }
+    for (shard, &n) in stats.shard_partial_batches.iter().enumerate() {
+        s.counter(
+            "maxk_serve_shard_partial_batches_total",
+            &[("shard", &shard.to_string())],
+            n,
+            "Batches each shard served via the partial path",
+        );
+    }
+    if let Some(cache) = &stats.cache {
+        cache_samples(s, cache);
+    }
+    admission_samples(s, stats.adaptive.as_ref(), &stats.classes);
+    s.histogram(
+        "maxk_serve_latency_us",
+        &[],
+        hist,
+        "Server-side end-to-end latency (enqueue to reply)",
+    );
+    snap
+}
+
+/// The logit-cache series of [`stat_samples`].
+fn cache_samples(s: &mut RegistrySnapshot, cache: &CacheSnapshot) {
+    s.counter(
+        "maxk_serve_cache_hits_total",
+        &[],
+        cache.hits,
+        "Seed instances answered from resident cache rows",
+    );
+    s.counter(
+        "maxk_serve_cache_misses_total",
+        &[],
+        cache.misses,
+        "Seed instances that required a forward",
+    );
+    s.counter(
+        "maxk_serve_cache_coalesced_total",
+        &[],
+        cache.coalesced,
+        "Seed instances that parked on another batch's in-flight computation",
+    );
+    s.counter(
+        "maxk_serve_cache_evictions_total",
+        &[],
+        cache.evictions,
+        "Cache rows evicted under capacity pressure",
+    );
+    s.counter(
+        "maxk_serve_cache_invalidated_total",
+        &[],
+        cache.invalidated,
+        "Cache rows dropped by mutation dirty-cone invalidation",
+    );
+    s.gauge(
+        "maxk_serve_cache_resident_rows",
+        &[],
+        cache.resident_rows as f64,
+        "Logit rows currently resident",
+    );
+    s.gauge(
+        "maxk_serve_cache_resident_bytes",
+        &[],
+        cache.resident_bytes as f64,
+        "Bytes held by resident logit rows",
+    );
+    s.gauge(
+        "maxk_serve_cache_capacity_rows",
+        &[],
+        cache.capacity as f64,
+        "Configured cache capacity in rows",
+    );
+}
+
+/// The admission series of [`stat_samples`]: the adaptive controller's
+/// live state and the per-class books.
+fn admission_samples(
+    s: &mut RegistrySnapshot,
+    adaptive: Option<&AdaptiveSnapshot>,
+    classes: &[ClassStats],
+) {
+    if let Some(a) = adaptive {
+        s.gauge(
+            "maxk_serve_admission_batch_service_ewma_us",
+            &[],
+            a.ewma_us as f64,
+            "EWMA of observed batch service time (µs)",
+        );
+        s.gauge(
+            "maxk_serve_admission_derived_capacity",
+            &[],
+            a.derived_capacity as f64,
+            "Queue capacity derived by the adaptive controller",
+        );
+        s.gauge(
+            "maxk_serve_admission_derived_deadline_us",
+            &[],
+            a.derived_deadline_us as f64,
+            "Default deadline budget derived by the adaptive controller (µs)",
+        );
+        s.counter(
+            "maxk_serve_admission_replans_total",
+            &[],
+            a.replans,
+            "Adaptive re-plans triggered by snapshot/epoch swaps",
+        );
+    }
+    for c in classes {
+        let class = [("class", c.name)];
+        s.counter(
+            "maxk_serve_admission_class_submitted_total",
+            &class,
+            c.submitted,
+            "Queries submitted per traffic class",
+        );
+        s.counter(
+            "maxk_serve_admission_class_admitted_total",
+            &class,
+            c.popped,
+            "Queries handed to the batcher per traffic class",
+        );
+        s.counter(
+            "maxk_serve_admission_class_rejected_total",
+            &class,
+            c.rejected,
+            "Queries turned away per traffic class",
+        );
+        s.counter(
+            "maxk_serve_admission_class_shed_total",
+            &class,
+            c.shed,
+            "Admitted queries dropped per traffic class",
+        );
+        s.gauge(
+            "maxk_serve_admission_class_weight",
+            &class,
+            c.weight,
+            "Configured weight per traffic class",
+        );
+    }
 }
 
 /// Serializes spans as Chrome `trace_event` JSON (the object form with a
@@ -557,24 +688,18 @@ mod tests {
 
     #[test]
     fn prometheus_text_renders_families_once() {
-        let samples = [
-            Sample::counter("maxk_serve_queries_total", 5, "answered"),
-            Sample::counter("maxk_serve_shard_batches_total", 2, "per shard")
-                .with_label("shard", 0),
-            Sample::counter("maxk_serve_shard_batches_total", 3, "per shard")
-                .with_label("shard", 1),
-            Sample::gauge("maxk_serve_queue_depth", 1.0, "depth"),
-        ];
+        let mut snap = RegistrySnapshot::default();
+        snap.counter("maxk_serve_queries_total", &[], 5, "answered");
+        for (shard, n) in [("0", 2), ("1", 3)] {
+            let labels = [("shard", shard)];
+            snap.counter("maxk_serve_shard_batches_total", &labels, n, "per shard");
+        }
+        snap.gauge("maxk_serve_queue_depth", &[], 1.0, "depth");
         let mut hist = LatencyHistogram::new();
         hist.record(10);
         hist.record(100);
-        let hists = [HistSample {
-            name: "maxk_serve_latency_us",
-            labels: Vec::new(),
-            hist,
-            help: "e2e latency",
-        }];
-        let text = render_prometheus(&samples, &hists, None);
+        snap.histogram("maxk_serve_latency_us", &[], hist, "e2e latency");
+        let text = render_prometheus(&snap);
         assert_eq!(
             text.matches("# TYPE maxk_serve_shard_batches_total counter")
                 .count(),
@@ -595,14 +720,10 @@ mod tests {
         hist.record(1); // bucket 0
         hist.record(2); // bucket 1
         hist.record(2);
-        let h = HistSample {
-            name: "h",
-            labels: Vec::new(),
-            hist,
-            help: "",
-        };
+        let mut snap = RegistrySnapshot::default();
+        snap.histogram("h", &[], hist, "");
         let mut out = String::new();
-        render_histogram(&mut out, &h);
+        render_histogram(&mut out, &snap.histograms[0]);
         assert!(out.contains("h_bucket{le=\"1\"} 1"));
         assert!(out.contains("h_bucket{le=\"3\"} 3"));
         assert!(out.contains("h_bucket{le=\"+Inf\"} 3"));

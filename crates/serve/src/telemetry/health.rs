@@ -11,7 +11,7 @@
 
 use std::fmt::Write as _;
 
-use super::export::escape_json_str;
+use super::export::escape_json;
 
 /// One named readiness check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,7 +65,7 @@ impl HealthReport {
                 "{{\"name\":\"{}\",\"ok\":{},\"detail\":\"{}\"}}",
                 c.name,
                 c.ok,
-                escape_json_str(&c.detail)
+                escape_json(&c.detail)
             );
         }
         format!(
@@ -114,7 +114,7 @@ impl JsonObj {
 
     /// Adds a string field (escaped).
     pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
-        self.push(key, format!("\"{}\"", escape_json_str(value)))
+        self.push(key, format!("\"{}\"", escape_json(value)))
     }
 
     /// Adds a raw field — `value` must already be valid JSON (a nested
@@ -128,7 +128,7 @@ impl JsonObj {
         let inner: Vec<String> = self
             .fields
             .iter()
-            .map(|(k, v)| format!("\"{}\":{}", escape_json_str(k), v))
+            .map(|(k, v)| format!("\"{}\":{}", escape_json(k), v))
             .collect();
         format!("{{{}}}", inner.join(","))
     }

@@ -34,9 +34,7 @@ pub mod registry;
 pub mod slo;
 pub mod trace;
 
-pub use export::{
-    chrome_trace_json, serve_scrape, HistSample, MetricsExporter, Sample, ScrapeSource,
-};
+pub use export::{chrome_trace_json, serve_scrape, MetricsExporter, ScrapeSource};
 pub use health::{HealthCheck, HealthReport};
 pub use recorder::{EventKind, FlightEvent, FlightRecorder, IncidentReport, RecorderConfig};
 pub use registry::{Counter, Gauge, Histogram, MetricSample, Registry, RegistrySnapshot};
@@ -292,16 +290,9 @@ impl Telemetry {
         });
     }
 
-    /// Records one answered query's stage split, `(queue_wait,
-    /// batch_wait, service, e2e)` in microseconds. Use
-    /// [`Telemetry::record_stage_rows`] to amortize the histogram locks
-    /// over a batch.
-    pub fn record_stages(&self, queue_us: u64, batch_us: u64, service_us: u64, e2e_us: u64) {
-        self.record_stage_rows(&[[queue_us, batch_us, service_us, e2e_us]]);
-    }
-
-    /// Batch variant of [`Telemetry::record_stages`]: one lock per
-    /// histogram for the whole batch.
+    /// Records the stage split of one delivery's answered queries — a
+    /// `[queue_wait, batch_wait, service, e2e]` row in microseconds per
+    /// query — under one lock per histogram.
     pub fn record_stage_rows(&self, rows: &[[u64; 4]]) {
         if rows.is_empty() {
             return;

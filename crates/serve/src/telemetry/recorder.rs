@@ -363,11 +363,7 @@ impl FlightRecorder {
                 e.b
             );
         }
-        let registry = super::export::render_metrics_json(
-            &[],
-            &[],
-            Some(&self.telemetry.registry().snapshot()),
-        );
+        let registry = super::export::render_metrics_json(&self.telemetry.registry().snapshot());
         let context = if context_json.is_empty() {
             "{}"
         } else {
@@ -378,7 +374,7 @@ impl FlightRecorder {
              \"finalize_us\":{},\"context\":{},\"config\":{},\"events\":[{}],\"trace\":{},\
              \"registry\":{}}}",
             report.id,
-            super::export::escape_json_str(&report.reason),
+            super::export::escape_json(&report.reason),
             report.trigger_us,
             report.finalize_us,
             context,

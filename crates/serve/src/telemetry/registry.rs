@@ -111,12 +111,81 @@ pub struct MetricSample<T> {
 pub struct RegistrySnapshot {
     /// Counter samples.
     pub counters: Vec<MetricSample<u64>>,
-    /// Gauge samples.
-    pub gauges: Vec<MetricSample<u64>>,
+    /// Gauge samples (`f64`: registry gauges hold integers, but the
+    /// stats-derived ones — uptime, class weights — are fractional).
+    pub gauges: Vec<MetricSample<f64>>,
     /// Histogram samples (full bucket state, not just summaries).
     pub histograms: Vec<MetricSample<LatencyHistogram>>,
     /// Help text per family name.
     pub help: BTreeMap<&'static str, &'static str>,
+}
+
+impl RegistrySnapshot {
+    /// Notes `name`'s help and shapes one sample like the registry's own
+    /// (labels sorted).
+    fn sample<T>(
+        &mut self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+        value: T,
+        help: &'static str,
+    ) -> MetricSample<T> {
+        self.help.entry(name).or_insert(help);
+        let Key { name, labels } = key(name, labels);
+        MetricSample {
+            name,
+            labels,
+            value,
+        }
+    }
+
+    /// Appends a counter sample for a series that lives outside the
+    /// registry (the server's [`crate::StatsSnapshot`] books).
+    pub fn counter(
+        &mut self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+        value: u64,
+        help: &'static str,
+    ) {
+        let sample = self.sample(name, labels, value, help);
+        self.counters.push(sample);
+    }
+
+    /// Appends a gauge sample (see [`RegistrySnapshot::counter`]).
+    pub fn gauge(
+        &mut self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+        value: f64,
+        help: &'static str,
+    ) {
+        let sample = self.sample(name, labels, value, help);
+        self.gauges.push(sample);
+    }
+
+    /// Appends a histogram sample (see [`RegistrySnapshot::counter`]).
+    pub fn histogram(
+        &mut self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+        value: LatencyHistogram,
+        help: &'static str,
+    ) {
+        let sample = self.sample(name, labels, value, help);
+        self.histograms.push(sample);
+    }
+
+    /// Appends every sample of `other` after this snapshot's own (help
+    /// text already present wins).
+    pub fn merge(&mut self, other: RegistrySnapshot) {
+        self.counters.extend(other.counters);
+        self.gauges.extend(other.gauges);
+        self.histograms.extend(other.histograms);
+        for (name, help) in other.help {
+            self.help.entry(name).or_insert(help);
+        }
+    }
 }
 
 /// The registry itself: get-or-create maps from `(name, labels)` to the
@@ -218,7 +287,7 @@ impl Registry {
             .map(|(k, v)| MetricSample {
                 name: k.name,
                 labels: k.labels.clone(),
-                value: v.load(Ordering::Relaxed),
+                value: v.load(Ordering::Relaxed) as f64,
             })
             .collect();
         let histograms = self

@@ -819,7 +819,7 @@ mod tests {
             .iter()
             .find(|g| g.name == "maxk_serve_slo_state" && g.labels.iter().any(|(_, v)| v == "lat"))
             .expect("state gauge exported");
-        assert_eq!(state_gauge.value, 2);
+        assert_eq!(state_gauge.value, 2.0);
     }
 
     #[test]

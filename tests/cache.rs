@@ -13,7 +13,8 @@ use maxk_gnn::graph::generate;
 use maxk_gnn::nn::snapshot::ModelSnapshot;
 use maxk_gnn::nn::{Activation, Arch, GnnModel, ModelConfig};
 use maxk_gnn::serve::{
-    CacheConfig, InferenceEngine, LogitCache, QueryOptions, Server, ServerHandle,
+    BatchEngine, CacheConfig, InferenceEngine, LogitCache, QueryOptions, Server, ServerHandle,
+    ShardConfig, ShardedEngine,
 };
 use maxk_gnn::tensor::Matrix;
 use proptest::prelude::*;
@@ -185,7 +186,10 @@ proptest! {
     /// The tentpole property: for an *arbitrary multiset of seed
     /// queries* (duplicates within a query, repeats across queries, any
     /// order), every cached answer is bitwise identical to the uncached
-    /// engine forward — the cache changes cost, never bits.
+    /// engine forward — the cache changes cost, never bits. The same
+    /// stream also runs through a sharded router behind a cached server
+    /// (the server's cache is the only one; the router sees what is left
+    /// of each union after resident and in-flight seeds are stripped).
     #[test]
     fn cached_answers_bitwise_identical_for_arbitrary_seed_multisets(
         queries in proptest::collection::vec(
@@ -193,27 +197,35 @@ proptest! {
             1..24
         )
     ) {
-        let engine = engine();
+        let (graph, x, snap) = setup();
+        let sharded = ShardedEngine::from_snapshot(&snap, &graph, &x, ShardConfig::default());
+        let sharded = Arc::new(sharded.unwrap());
+        let engine = Arc::new(InferenceEngine::from_snapshot(&snap, &graph, x).unwrap());
         let expected = engine.forward_all();
-        let server = Server::builder()
+        let cached = Server::builder()
             .cache_capacity(32)
             .batch_window(Duration::from_micros(100))
             .max_batch(8)
-            .workers(2)
-            .start(Arc::clone(&engine));
-        let handle = server.handle();
-        let mut answered_instances = 0u64;
-        for seeds in &queries {
-            let a = query(&handle, seeds);
-            answered_instances += seeds.len() as u64;
-            for (r, &seed) in seeds.iter().enumerate() {
-                prop_assert_eq!(a.logits.row(r), expected.row(seed as usize));
+            .workers(2);
+        let servers = [
+            (cached.clone().start(Arc::clone(&engine)), engine.generation()),
+            (cached.start(Arc::clone(&sharded)), sharded.generation()),
+        ];
+        for (server, generation) in servers {
+            let handle = server.handle();
+            let mut answered_instances = 0u64;
+            for seeds in &queries {
+                let a = query(&handle, seeds);
+                answered_instances += seeds.len() as u64;
+                for (r, &seed) in seeds.iter().enumerate() {
+                    prop_assert_eq!(a.logits.row(r), expected.row(seed as usize));
+                }
+                prop_assert_eq!(a.generation, generation);
             }
-            prop_assert_eq!(a.generation, engine.generation());
+            let stats = server.shutdown();
+            let cache = stats.cache.expect("cache enabled");
+            // Per-instance accounting must be exact.
+            prop_assert_eq!(cache.hits + cache.misses + cache.coalesced, answered_instances);
         }
-        let stats = server.shutdown();
-        let cache = stats.cache.expect("cache enabled");
-        // Per-instance accounting must be exact.
-        prop_assert_eq!(cache.hits + cache.misses + cache.coalesced, answered_instances);
     }
 }

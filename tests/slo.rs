@@ -58,19 +58,35 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     )
 }
 
-/// An aggressive SLO configuration sized for a sub-second test run: a
-/// latency objective far below the injected fault, short windows, a low
-/// event floor, a short post-trigger window and a one-hour cooldown so a
-/// sustained breach cannot emit a second bundle.
-fn tight_slo(budget: Duration) -> SloConfig {
+/// The latency objective this host can meet when healthy: `max(1 ms,
+/// 4 × p99)` of 80 single-seed queries (64 of them warm) through a plain
+/// server over `engine` (a constant budget is a bet on the machine; a
+/// 2-core CI host lost it).
+fn probed_objective(engine: &Arc<FaultInjector<InferenceEngine>>) -> Duration {
+    let probe = Server::builder()
+        .batch_window(Duration::ZERO)
+        .workers(1)
+        .start(Arc::clone(engine));
+    for i in 0..80u32 {
+        let _ = probe.handle().query(&[i % 16]).unwrap();
+    }
+    let p99_us = probe.shutdown().latency.p99_us;
+    Duration::from_micros(4 * p99_us as u64).max(Duration::from_millis(1))
+}
+
+/// An aggressive SLO configuration sized for a short test run: the
+/// probed latency objective, windows just long enough to hold 8 stalled
+/// forwards, a low event floor, a short post-trigger window and a
+/// one-hour cooldown so a sustained breach cannot emit a second bundle.
+fn tight_slo(objective: Duration, stall: Duration) -> SloConfig {
     SloConfig {
-        specs: SloSpecSet::new().with_spec(SloSpec::latency("latency", budget, 0.05)),
-        fast_window: Duration::from_millis(400),
-        slow_window: Duration::from_millis(800),
+        specs: SloSpecSet::new().with_spec(SloSpec::latency("latency", objective, 0.05)),
+        fast_window: Duration::from_millis(400).max(8 * stall),
+        slow_window: Duration::from_millis(800).max(16 * stall),
         tick: Duration::from_millis(5),
         min_events: 4,
         recorder: RecorderConfig {
-            post_trigger: Duration::from_millis(100),
+            post_trigger: Duration::from_millis(100).max(3 * stall),
             cooldown: Duration::from_secs(3600),
             ..RecorderConfig::default()
         },
@@ -79,20 +95,22 @@ fn tight_slo(budget: Duration) -> SloConfig {
 }
 
 /// The full incident lifecycle, end to end over TCP: a healthy server
-/// answers `/healthz` 200; an injected 5ms forward stall breaches the
-/// 300µs latency objective, flipping `/healthz` to 503 and triggering
-/// exactly one incident bundle in the sink directory — self-contained,
-/// with ring events, spans of the offending window and a registry
-/// snapshot; clearing the fault recovers `/healthz` to 200.
+/// answers `/healthz` 200; an injected forward stall of 10× the probed
+/// latency objective breaches it, flipping `/healthz` to 503 and
+/// triggering exactly one incident bundle in the sink directory —
+/// self-contained, with ring events, spans of the offending window and a
+/// registry snapshot; clearing the fault recovers `/healthz` to 200.
 #[test]
 fn injected_fault_breaches_flips_healthz_and_emits_one_bundle() {
     let sink = std::env::temp_dir().join(format!("maxk-slo-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&sink);
     let faulty = Arc::new(FaultInjector::new(engine(60)));
+    let objective = probed_objective(&faulty);
+    let stall = 10 * objective;
     let server = Server::builder()
         .batch_window(Duration::ZERO)
         .workers(1)
-        .slo(tight_slo(Duration::from_micros(300)))
+        .slo(tight_slo(objective, stall))
         .incident_sink(&sink)
         .start(Arc::clone(&faulty));
     let exporter = server.serve_metrics("127.0.0.1:0").expect("bind endpoint");
@@ -105,7 +123,7 @@ fn injected_fault_breaches_flips_healthz_and_emits_one_bundle() {
     assert!(healthy.contains("\"status\":\"ok\""));
 
     // Inject the fault and drive load until the breach flips /healthz.
-    faulty.set_forward_delay(Duration::from_millis(5));
+    faulty.set_forward_delay(stall);
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut degraded = String::new();
     while Instant::now() < deadline {

@@ -14,8 +14,8 @@ use maxk_gnn::graph::shard::ShardStrategy;
 use maxk_gnn::nn::snapshot::ModelSnapshot;
 use maxk_gnn::nn::{Activation, Arch, GnnModel, ModelConfig};
 use maxk_gnn::serve::{
-    InferenceEngine, LatencyHistogram, LatencySummary, OverloadPolicy, QueryOptions, Server,
-    ShardConfig, ShardedEngine,
+    InferenceEngine, LatencyHistogram, LatencySummary, OverloadPolicy, QueryOptions, ScrapeSource,
+    Server, ShardConfig, ShardedEngine,
 };
 use maxk_gnn::tensor::Matrix;
 use proptest::prelude::*;
