@@ -31,7 +31,7 @@
 //! (structurally or in value) — the seed set the serving layer expands
 //! into a reverse L-hop dirty cone for cache invalidation.
 
-use crate::normalize::Aggregator;
+use crate::normalize::{add_self_loops, Aggregator};
 use crate::{Csr, GraphError, Result};
 use std::collections::BTreeMap;
 
@@ -136,10 +136,11 @@ impl DynamicGraph {
     ///
     /// # Errors
     ///
-    /// Propagates CSR validation errors from the operand construction.
+    /// None for a valid [`Csr`]; the `Result` is part of the signature
+    /// callers already handle.
     pub fn from_csr(base: &Csr, aggregator: Aggregator, self_loops: bool) -> Result<Self> {
         let structural = if self_loops {
-            add_self_loops(base)?
+            add_self_loops(base)
         } else {
             base.clone()
         };
@@ -438,35 +439,6 @@ fn merge_row(
     debug_assert_eq!(di, del.len(), "every deletion matched a present edge");
 }
 
-/// Inserts a unit-valued diagonal into every row (skipping rows that
-/// already carry one) — the GCN self-loop convention, matching the
-/// frozen-graph context construction bit for bit.
-fn add_self_loops(graph: &Csr) -> Result<Csr> {
-    let n = graph.num_nodes();
-    let mut row_ptr = Vec::with_capacity(n + 1);
-    let mut col_idx = Vec::with_capacity(graph.num_edges() + n);
-    row_ptr.push(0usize);
-    for i in 0..n {
-        let (cols, _) = graph.row(i);
-        let mut inserted = false;
-        for &c in cols {
-            if !inserted && c as usize >= i {
-                if c as usize != i {
-                    col_idx.push(i as u32);
-                }
-                inserted = true;
-            }
-            col_idx.push(c);
-        }
-        if !inserted {
-            col_idx.push(i as u32);
-        }
-        row_ptr.push(col_idx.len());
-    }
-    let values = vec![1.0; col_idx.len()];
-    Csr::from_parts(n, row_ptr, col_idx, values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,7 +457,7 @@ mod tests {
     /// From-scratch reference: operand of `base` under the same config.
     fn reference(base: &Csr, agg: Aggregator, self_loops: bool) -> Csr {
         let structural = if self_loops {
-            add_self_loops(base).unwrap()
+            add_self_loops(base)
         } else {
             base.clone()
         };

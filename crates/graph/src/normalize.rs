@@ -74,6 +74,39 @@ pub fn apply_in_place(csr: &mut Csr, aggregator: Aggregator) {
     }
 }
 
+/// Inserts a unit-valued diagonal into every row (skipping rows that
+/// already carry one) — the GCN self-loop convention. All values of the
+/// result are `1.0`; normalize afterwards. The frozen
+/// (`GraphContext::build`) and incremental ([`crate::dynamic`]) operand
+/// paths both call this one routine, which is what their bit-for-bit
+/// agreement rests on.
+#[must_use]
+pub fn add_self_loops(graph: &Csr) -> Csr {
+    let n = graph.num_nodes();
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    let mut col_idx = Vec::with_capacity(graph.num_edges() + n);
+    row_ptr.push(0usize);
+    for i in 0..n {
+        let (cols, _) = graph.row(i);
+        let mut inserted = false;
+        for &c in cols {
+            if !inserted && c as usize >= i {
+                if c as usize != i {
+                    col_idx.push(i as u32);
+                }
+                inserted = true;
+            }
+            col_idx.push(c);
+        }
+        if !inserted {
+            col_idx.push(i as u32);
+        }
+        row_ptr.push(col_idx.len());
+    }
+    let values = vec![1.0; col_idx.len()];
+    Csr::from_parts(n, row_ptr, col_idx, values).expect("self-loop insertion keeps rows sorted")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -84,16 +84,25 @@ pub struct GraphContext {
 
 impl GraphContext {
     /// Normalizes `graph` per the architecture's aggregator and builds the
-    /// Edge-Group partition with width `w`.
+    /// Edge-Group partition with width `w`, under a freshly minted
+    /// version.
     pub fn build(graph: &Csr, arch: Arch, w: usize) -> Self {
         let adj = Self::normalized_adjacency(graph, arch);
-        let adj_t = adj.transpose();
-        let part = WarpPartition::build(&adj, w);
+        Self::from_normalized(adj, w, crate::version::GraphVersion::mint())
+    }
+
+    /// Assembles the context around an already-normalized operand: the
+    /// one place its transpose and Edge-Group partition (width `w`) are
+    /// derived. Callers that hold such an operand — a shard's row slice
+    /// of the global one, or the incrementally maintained operand of a
+    /// dynamic graph — pass the `version` it is served under;
+    /// re-normalizing either would break bitwise fidelity.
+    pub fn from_normalized(adj: Csr, w: usize, version: crate::version::GraphVersion) -> Self {
         GraphContext {
+            adj_t: adj.transpose(),
+            part: WarpPartition::build(&adj, w),
             adj,
-            adj_t,
-            part,
-            version: crate::version::GraphVersion::mint(),
+            version,
         }
     }
 
@@ -104,38 +113,12 @@ impl GraphContext {
     pub fn normalized_adjacency(graph: &Csr, arch: Arch) -> Csr {
         let (aggregator, self_loops) = arch.aggregation();
         if self_loops {
-            let with_loops = add_self_loops(graph);
+            let with_loops = normalize::add_self_loops(graph);
             normalize::normalized(&with_loops, aggregator)
         } else {
             normalize::normalized(graph, aggregator)
         }
     }
-}
-
-fn add_self_loops(graph: &Csr) -> Csr {
-    let n = graph.num_nodes();
-    let mut row_ptr = Vec::with_capacity(n + 1);
-    let mut col_idx = Vec::with_capacity(graph.num_edges() + n);
-    row_ptr.push(0usize);
-    for i in 0..n {
-        let (cols, _) = graph.row(i);
-        let mut inserted = false;
-        for &c in cols {
-            if !inserted && c as usize >= i {
-                if c as usize != i {
-                    col_idx.push(i as u32);
-                }
-                inserted = true;
-            }
-            col_idx.push(c);
-        }
-        if !inserted {
-            col_idx.push(i as u32);
-        }
-        row_ptr.push(col_idx.len());
-    }
-    let values = vec![1.0; col_idx.len()];
-    Csr::from_parts(n, row_ptr, col_idx, values).expect("self-loop insertion keeps rows sorted")
 }
 
 /// One graph convolution layer.
@@ -260,6 +243,17 @@ impl Conv {
     /// The GIN `(1 + ε)` self-term epsilon.
     pub fn eps(&self) -> f32 {
         self.eps
+    }
+
+    /// The borrowed weight view [`crate::plan::eval_layer`] runs over.
+    pub fn plan_layer(&self) -> crate::plan::PlanLayer<'_> {
+        crate::plan::PlanLayer {
+            activation: self.activation,
+            eps: self.eps,
+            neigh_weight: self.lin_neigh.weight(),
+            neigh_bias: self.lin_neigh.bias(),
+            self_path: self.lin_self.as_ref().map(|l| (l.weight(), l.bias())),
+        }
     }
 
     /// Forward pass. `train` enables dropout; `timers` accumulates

@@ -308,17 +308,7 @@ impl GnnModel {
     /// heuristic (one [`crate::plan::LayerCost`] per convolution, input
     /// to output).
     pub fn layer_costs(&self) -> Vec<crate::plan::LayerCost> {
-        self.convs
-            .iter()
-            .map(|c| {
-                crate::plan::LayerCost::new(
-                    c.in_dim(),
-                    c.out_dim(),
-                    c.activation(),
-                    c.lin_self().is_some(),
-                )
-            })
-            .collect()
+        self.convs.iter().map(|c| c.plan_layer().cost()).collect()
     }
 
     /// Forward pass over all layers; returns logits.
@@ -366,17 +356,7 @@ impl GnnModel {
                     self.cfg.num_layers,
                     "frontier depth must match the model"
                 );
-                let layers: Vec<PlanLayer<'_>> = self
-                    .convs
-                    .iter()
-                    .map(|c| PlanLayer {
-                        activation: c.activation(),
-                        eps: c.eps(),
-                        neigh_weight: c.lin_neigh().weight(),
-                        neigh_bias: c.lin_neigh().bias(),
-                        self_path: c.lin_self().map(|l| (l.weight(), l.bias())),
-                    })
-                    .collect();
+                let layers: Vec<PlanLayer<'_>> = self.convs.iter().map(Conv::plan_layer).collect();
                 let compact = crate::plan::partial_forward(
                     &self.ctx,
                     self.cfg.arch,

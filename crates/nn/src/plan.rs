@@ -303,8 +303,10 @@ impl ForwardPlan {
 }
 
 /// Borrowed weight view of one layer, the common denominator between
-/// `maxk-nn`'s trainable `Conv` and `maxk-serve`'s immutable inference
-/// layers.
+/// the trainable `Conv` ([`crate::conv::Conv::plan_layer`]) and the
+/// immutable [`crate::snapshot::LayerSnapshot`] the serving engines share
+/// ([`crate::snapshot::ModelSnapshot::plan_layer`]). Neither side keeps a
+/// second copy of its weights for serving.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanLayer<'a> {
     /// Layer activation (`None` on the output layer).
@@ -317,6 +319,18 @@ pub struct PlanLayer<'a> {
     pub neigh_bias: &'a [f32],
     /// SAGE self-path `(weight, bias)`, when present.
     pub self_path: Option<(&'a Matrix, &'a [f32])>,
+}
+
+impl PlanLayer<'_> {
+    /// The layer's [`LayerCost`] shape, read off the weight dimensions.
+    pub fn cost(&self) -> LayerCost {
+        LayerCost::new(
+            self.neigh_weight.rows(),
+            self.neigh_weight.cols(),
+            self.activation,
+            self.self_path.is_some(),
+        )
+    }
 }
 
 /// Copies the rows of `m` at `positions` into a fresh compact matrix.

@@ -39,6 +39,7 @@
 
 use crate::conv::{Activation, Arch, Conv};
 use crate::model::{GnnModel, ModelConfig};
+use crate::plan::PlanLayer;
 use crate::version::SnapshotGeneration;
 use maxk_graph::Csr;
 use maxk_tensor::{Linear, Matrix};
@@ -174,6 +175,25 @@ impl ModelSnapshot {
             config: model.config().clone(),
             layers,
             generation: SnapshotGeneration::mint(),
+        }
+    }
+
+    /// The borrowed weight view of layer `l` that
+    /// [`crate::plan::eval_layer`] runs over — serving reads the
+    /// snapshot's own matrices, it keeps no second representation.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `l` is out of range.
+    pub fn plan_layer(&self, l: usize) -> PlanLayer<'_> {
+        let layer = &self.layers[l];
+        PlanLayer {
+            // The output layer emits raw logits.
+            activation: (l + 1 < self.config.num_layers).then_some(self.config.activation),
+            eps: layer.eps,
+            neigh_weight: &layer.neigh_weight,
+            neigh_bias: &layer.neigh_bias,
+            self_path: layer.self_path.as_ref().map(|(w, b)| (w, b.as_slice())),
         }
     }
 

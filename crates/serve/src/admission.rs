@@ -89,8 +89,10 @@ pub enum OverloadPolicy {
 
 impl OverloadPolicy {
     /// Stable lower-case label — the single source of the policy names
-    /// used by `serve_bench`'s `--admission-policies` flag and written
-    /// into `BENCH_admission.json`.
+    /// used by `serve_bench`'s `--admission-policies` flag, written into
+    /// `BENCH_admission.json`, and reported by
+    /// `maxk_serve_build_info{policy=…}`, `/debug/state` and the
+    /// incident-bundle config.
     pub fn label(&self) -> &'static str {
         match self {
             OverloadPolicy::Block => "block",
@@ -116,6 +118,18 @@ pub struct FairnessConfig {
     pub burst: f64,
 }
 
+/// EWMA smoothing factor of the [`AdaptiveController`]: the weight of the
+/// newest batch service time.
+pub const EWMA_ALPHA: f64 = 0.2;
+
+/// The derived deadline budget as a multiple of the EWMA batch service
+/// time. At `2.0` the derived capacity equals the work the pool drains in
+/// one budget, so a query admitted to a full queue just barely makes its
+/// deadline, and an answered query's p99 lands near `(multiplier + 2) x
+/// EWMA` (queue wait up to one budget, then its own batch's channel hop
+/// and service).
+pub const DEADLINE_MULTIPLIER: f64 = 2.0;
+
 /// Tuning knobs for [`AdaptiveController`].
 ///
 /// The controller maintains an exponentially-weighted moving average
@@ -123,32 +137,14 @@ pub struct FairnessConfig {
 /// derives from it the two budgets that were previously hand-set per
 /// graph/batch-size combination:
 ///
-/// * **deadline** — `deadline_multiplier x EWMA` (or the fixed
-///   `latency_target` when one is given): a query may wait a few
-///   batch-times, but not an unbounded multiple of one.
+/// * **deadline** — [`DEADLINE_MULTIPLIER`]` x EWMA`: a query may wait a
+///   few batch-times, but not an unbounded multiple of one.
 /// * **capacity** — the number of queries the worker pool can drain
 ///   within one deadline budget, `workers x max_batch x (deadline /
 ///   EWMA)`, clamped to `[min_capacity, max_capacity]`. Admitting more
 ///   than that merely manufactures deadline-blown work.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
-    /// EWMA smoothing factor in `(0, 1]`: the weight of the newest
-    /// observation. Default `0.2`.
-    pub alpha: f64,
-    /// Deadline budget as a multiple of the EWMA batch service time
-    /// (used when `latency_target` is `None`). Must be `>= 1`.
-    ///
-    /// Default `2.0`: the derived capacity then equals the work the
-    /// pool drains in one budget, so a query admitted to a full queue
-    /// just barely makes its deadline, and an answered query's p99
-    /// lands near `(multiplier + 2) x EWMA` (queue wait up to one
-    /// budget, then its own batch's channel hop and service). Raising
-    /// the multiplier trades latency for fewer sheds under bursts.
-    pub deadline_multiplier: f64,
-    /// Fixed end-to-end latency target. When set, the derived deadline
-    /// is this value and only the capacity adapts to the measured
-    /// service time. Default `None`.
-    pub latency_target: Option<Duration>,
     /// Lower clamp on the derived capacity. Keep this strictly above
     /// the expected number of active clients so the fairness
     /// non-starvation precondition (see [`AdmissionQueue::submit`])
@@ -161,9 +157,6 @@ pub struct AdaptiveConfig {
 impl Default for AdaptiveConfig {
     fn default() -> Self {
         AdaptiveConfig {
-            alpha: 0.2,
-            deadline_multiplier: 2.0,
-            latency_target: None,
             min_capacity: 64,
             max_capacity: 1 << 20,
         }
@@ -231,20 +224,9 @@ impl AdaptiveController {
     ///
     /// # Panics
     ///
-    /// Panics when `alpha` is outside `(0, 1]`, `deadline_multiplier <
-    /// 1`, `max_batch == 0`, `workers == 0`, `min_capacity == 0`, or
-    /// `min_capacity > max_capacity`.
+    /// Panics when `max_batch == 0`, `workers == 0`, `min_capacity == 0`,
+    /// or `min_capacity > max_capacity`.
     pub fn new(cfg: AdaptiveConfig, max_batch: usize, workers: usize) -> Self {
-        assert!(
-            cfg.alpha.is_finite() && cfg.alpha > 0.0 && cfg.alpha <= 1.0,
-            "adaptive alpha must be in (0, 1] (got {})",
-            cfg.alpha
-        );
-        assert!(
-            cfg.deadline_multiplier.is_finite() && cfg.deadline_multiplier >= 1.0,
-            "adaptive deadline multiplier must be >= 1 (got {})",
-            cfg.deadline_multiplier
-        );
         assert!(max_batch > 0, "adaptive max_batch must be nonzero");
         assert!(workers > 0, "adaptive worker count must be nonzero");
         assert!(
@@ -283,14 +265,13 @@ impl AdaptiveController {
             self.ewma_us.store(us, Ordering::Release);
             self.replans.fetch_add(1, Ordering::Relaxed);
         } else {
-            let alpha = self.cfg.alpha;
             let _ = self
                 .ewma_us
                 .fetch_update(Ordering::AcqRel, Ordering::Acquire, |old| {
                     Some(if old == 0 {
                         us
                     } else {
-                        ((old as f64) + alpha * (us as f64 - old as f64))
+                        ((old as f64) + EWMA_ALPHA * (us as f64 - old as f64))
                             .round()
                             .max(1.0) as u64
                     })
@@ -311,11 +292,8 @@ impl AdaptiveController {
     /// `None` before the first observation (static config applies until
     /// then).
     pub fn derived_deadline(&self) -> Option<Duration> {
-        let base = self.service_ewma().map(|t| match self.cfg.latency_target {
-            Some(target) => target,
-            None => Duration::from_micros(
-                (t.as_micros() as f64 * self.cfg.deadline_multiplier).round() as u64,
-            ),
+        let base = self.service_ewma().map(|t| {
+            Duration::from_micros((t.as_micros() as f64 * DEADLINE_MULTIPLIER).round() as u64)
         })?;
         let permille = self.tighten_permille.load(Ordering::Relaxed);
         if permille >= 1000 {
@@ -2046,7 +2024,6 @@ mod tests {
         let cfg = AdaptiveConfig {
             min_capacity: 10,
             max_capacity: 20,
-            ..AdaptiveConfig::default()
         };
         let ctrl = AdaptiveController::new(cfg, 1, 1);
         ctrl.observe_batch(Duration::from_micros(100), 0);
@@ -2063,7 +2040,6 @@ mod tests {
             AdaptiveConfig {
                 min_capacity: 4,
                 max_capacity: 4,
-                ..AdaptiveConfig::default()
             },
             1,
             1,

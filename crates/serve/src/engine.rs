@@ -1,18 +1,21 @@
 //! Inference-only forward engine.
 //!
 //! [`InferenceEngine`] is the serving-side counterpart of
-//! [`maxk_nn::GnnModel`]: it holds immutable layer weights extracted from
-//! a [`ModelSnapshot`] plus the node features and the pre-normalized graph
-//! context, and runs the eval-mode forward path with none of the training
-//! baggage — no dropout, no phase timers, no gradient caches, no `&mut`.
-//! That makes a single engine shareable across server worker threads
-//! behind an `Arc`.
+//! [`maxk_nn::GnnModel`]: it runs the eval-mode forward path with none of
+//! the training baggage — no dropout, no phase timers, no gradient
+//! caches, no `&mut` — so one engine is shareable across server worker
+//! threads.
 //!
-//! The per-graph normalization (adjacency normalization + Edge-Group
-//! partition) is the expensive part of engine construction; it is computed
-//! once and cached in the engine, and [`InferenceEngine::context`] /
-//! [`InferenceEngine::with_context`] let several engines (e.g. different
-//! snapshot generations of the same model) share one copy.
+//! **Operands are owned once.** The engine's three operands — the model
+//! weights (the [`ModelSnapshot`] itself, read through
+//! [`ModelSnapshot::plan_layer`] views), the node features and the
+//! pre-normalized [`GraphContext`] — each sit behind an `Arc`. The
+//! shards of a [`crate::ShardedEngine`] and the epochs of a
+//! [`crate::mutation::DynamicEngine`] point at one weight allocation,
+//! epochs share the feature matrix until a write touches it, and cloning
+//! an engine is three refcount bumps. The snapshot is validated where it
+//! enters ([`InferenceEngine::from_snapshot`] and the sharded/dynamic
+//! constructors), not per engine built from it.
 
 use crate::telemetry::Telemetry;
 use crate::ServeError;
@@ -21,32 +24,10 @@ use maxk_nn::plan::{
     eval_layer, partial_forward, ForwardPlan, ForwardTimer, LayerCost, PlanConfig, PlanLayer,
 };
 use maxk_nn::snapshot::ModelSnapshot;
-use maxk_nn::{Activation, Arch, GraphContext, GraphVersion, SnapshotGeneration};
+use maxk_nn::{GraphContext, GraphVersion, SnapshotGeneration};
 use maxk_tensor::Matrix;
+use std::sync::Arc;
 use std::time::Instant;
-
-/// One inference layer: immutable weights plus the layer activation.
-#[derive(Debug, Clone)]
-struct InferLayer {
-    activation: Option<Activation>,
-    eps: f32,
-    neigh_weight: Matrix,
-    neigh_bias: Vec<f32>,
-    self_path: Option<(Matrix, Vec<f32>)>,
-}
-
-impl InferLayer {
-    /// The borrowed weight view [`eval_layer`] runs over.
-    fn view(&self) -> PlanLayer<'_> {
-        PlanLayer {
-            activation: self.activation,
-            eps: self.eps,
-            neigh_weight: &self.neigh_weight,
-            neigh_bias: &self.neigh_bias,
-            self_path: self.self_path.as_ref().map(|(w, b)| (w, b.as_slice())),
-        }
-    }
-}
 
 /// Logits produced for one batch, either full-graph or seed-restricted.
 ///
@@ -134,18 +115,14 @@ impl BatchLogits {
 /// ```
 #[derive(Debug, Clone)]
 pub struct InferenceEngine {
-    layers: Vec<InferLayer>,
+    /// The weights, shared by every engine built from one snapshot.
+    model: Arc<ModelSnapshot>,
     /// Per-layer cost shapes, precomputed once — `plan_for` runs per
     /// batch on the serving hot path.
     layer_costs: Vec<LayerCost>,
-    ctx: GraphContext,
-    arch: Arch,
-    features: Matrix,
-    out_dim: usize,
+    ctx: Arc<GraphContext>,
+    features: Arc<Matrix>,
     plan_cfg: PlanConfig,
-    /// The weight set this engine serves (copied from the snapshot at
-    /// construction); cache keys and [`crate::QueryAnswer`] carry it.
-    generation: SnapshotGeneration,
 }
 
 impl InferenceEngine {
@@ -168,37 +145,33 @@ impl InferenceEngine {
                 graph.num_nodes()
             )));
         }
-        let cfg = &snapshot.config;
-        let ctx = GraphContext::build(graph, cfg.arch, cfg.eg_width);
-        Self::with_context(snapshot, ctx, features)
+        let model = validated(snapshot)?;
+        let ctx = GraphContext::build(graph, model.config.arch, model.config.eg_width);
+        Self::with_context(model, Arc::new(ctx), Arc::new(features))
     }
 
-    /// Builds an engine reusing an already-built [`GraphContext`] — the
-    /// per-graph normalization cache path: hot-swapping a new snapshot
-    /// generation onto the same graph skips renormalization entirely.
+    /// Builds an engine over operands that already exist — the shared
+    /// weights, a context assembled elsewhere (a shard's slice, a dynamic
+    /// graph's next epoch) and a possibly shared feature matrix. Nothing
+    /// is copied.
+    ///
+    /// `model` must come from [`validated`]: that gate runs once where a
+    /// snapshot enters, not per shard or per epoch.
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadModel`] on shape or consistency mismatches.
-    pub fn with_context(
-        snapshot: &ModelSnapshot,
-        ctx: GraphContext,
-        features: Matrix,
+    /// [`ServeError::BadModel`] when `features` does not match the model's
+    /// input dimension or the context's node count.
+    pub(crate) fn with_context(
+        model: Arc<ModelSnapshot>,
+        ctx: Arc<GraphContext>,
+        features: Arc<Matrix>,
     ) -> Result<Self, ServeError> {
-        let cfg = &snapshot.config;
-        // Same gate the snapshot restore path uses: layer count (>= 2),
-        // MaxK k bounds, self-path presence and every per-layer weight
-        // shape. A hand-built snapshot that never went through
-        // `from_bytes` must fail here rather than panic in a worker
-        // thread (or silently serve wrong-shaped logits).
-        snapshot
-            .check_consistency()
-            .map_err(|e| ServeError::BadModel(e.to_string()))?;
-        if features.cols() != cfg.in_dim {
+        if features.cols() != model.config.in_dim {
             return Err(ServeError::BadModel(format!(
                 "feature dim {} != model in_dim {}",
                 features.cols(),
-                cfg.in_dim
+                model.config.in_dim
             )));
         }
         if features.rows() != ctx.adj.num_nodes() {
@@ -208,41 +181,15 @@ impl InferenceEngine {
                 ctx.adj.num_nodes()
             )));
         }
-        let mut layers = Vec::with_capacity(snapshot.layers.len());
-        for (i, layer) in snapshot.layers.iter().enumerate() {
-            let activation = if i + 1 == cfg.num_layers {
-                None
-            } else {
-                Some(cfg.activation)
-            };
-            layers.push(InferLayer {
-                activation,
-                eps: layer.eps,
-                neigh_weight: layer.neigh_weight.clone(),
-                neigh_bias: layer.neigh_bias.clone(),
-                self_path: layer.self_path.clone(),
-            });
-        }
-        let layer_costs = layers
-            .iter()
-            .map(|l| {
-                LayerCost::new(
-                    l.neigh_weight.rows(),
-                    l.neigh_weight.cols(),
-                    l.activation,
-                    l.self_path.is_some(),
-                )
-            })
+        let layer_costs = (0..model.layers.len())
+            .map(|l| model.plan_layer(l).cost())
             .collect();
         Ok(InferenceEngine {
-            layers,
+            model,
             layer_costs,
             ctx,
-            arch: cfg.arch,
-            out_dim: cfg.out_dim,
             features,
             plan_cfg: PlanConfig::default(),
-            generation: snapshot.generation,
         })
     }
 
@@ -251,13 +198,6 @@ impl InferenceEngine {
     pub fn with_plan_config(mut self, cfg: PlanConfig) -> Self {
         self.plan_cfg = cfg;
         self
-    }
-
-    /// Replaces the full-vs-partial cost heuristic in place (the sharded
-    /// router updates every shard engine without cloning their graph and
-    /// feature state).
-    pub fn set_plan_config(&mut self, cfg: PlanConfig) {
-        self.plan_cfg = cfg;
     }
 
     /// The cost heuristic used by [`InferenceEngine::plan_for`].
@@ -272,11 +212,10 @@ impl InferenceEngine {
 
     /// Output (logit) dimension.
     pub fn out_dim(&self) -> usize {
-        self.out_dim
+        self.model.config.out_dim
     }
 
-    /// The cached per-graph normalization bundle (shareable across
-    /// engines via [`InferenceEngine::with_context`]).
+    /// The per-graph normalization bundle this engine aggregates over.
     pub fn context(&self) -> &GraphContext {
         &self.ctx
     }
@@ -284,13 +223,11 @@ impl InferenceEngine {
     /// The weight set this engine serves, inherited from the snapshot it
     /// was built from.
     pub fn generation(&self) -> SnapshotGeneration {
-        self.generation
+        self.model.generation
     }
 
     /// The graph operand this engine serves, inherited from its
-    /// [`GraphContext`]. Engines sharing a context (the
-    /// [`InferenceEngine::with_context`] renormalization-cache path)
-    /// share the version.
+    /// [`GraphContext`].
     pub fn graph_version(&self) -> GraphVersion {
         self.ctx.version
     }
@@ -321,25 +258,21 @@ impl InferenceEngine {
     /// compact over `frontier.seeds()`). When `timer` is set every kernel
     /// call lands in it as a `(layer, kernel, duration)` lap.
     fn forward(&self, frontier: Option<&Frontier>, mut timer: Option<&mut ForwardTimer>) -> Matrix {
+        let (model, arch) = (&*self.model, self.model.config.arch);
         if let Some(frontier) = frontier {
-            let layers: Vec<PlanLayer<'_>> = self.layers.iter().map(InferLayer::view).collect();
-            return partial_forward(
-                &self.ctx,
-                self.arch,
-                &layers,
-                frontier,
-                &self.features,
-                timer,
-            );
+            let layers: Vec<PlanLayer<'_>> = (0..model.layers.len())
+                .map(|l| model.plan_layer(l))
+                .collect();
+            return partial_forward(&self.ctx, arch, &layers, frontier, &self.features, timer);
         }
-        // check_consistency guarantees >= 2 layers, so the first-layer
-        // borrow avoids cloning the full feature matrix per forward.
+        // A validated snapshot has >= 2 layers, so the first-layer borrow
+        // avoids cloning the full feature matrix per forward.
         let mut layer = |l: usize, x: &Matrix| {
             let slot = timer.as_deref_mut().map(|t| (t, l));
-            eval_layer(&self.ctx, self.arch, &self.layers[l].view(), x, None, slot)
+            eval_layer(&self.ctx, arch, &model.plan_layer(l), x, None, slot)
         };
         let mut h = layer(0, &self.features);
-        for l in 1..self.layers.len() {
+        for l in 1..model.layers.len() {
             h = layer(l, &h);
         }
         h
@@ -370,21 +303,15 @@ impl InferenceEngine {
     /// plan's frontier (every layer on the frontier's row subsets via the
     /// `maxk_core::subset` kernels). Either way the returned
     /// [`BatchLogits`] gathers bitwise-identical rows for every seed the
-    /// plan covers.
+    /// plan covers. When `timer` is set, every kernel call lands in it as
+    /// a per-layer lap, whichever path the plan takes.
     ///
     /// # Panics
     ///
     /// Panics when a partial plan's frontier depth does not match the
     /// model.
     #[must_use]
-    pub fn forward_planned(&self, plan: &ForwardPlan) -> BatchLogits {
-        self.forward_planned_timed(plan, None)
-    }
-
-    /// [`InferenceEngine::forward_planned`] with optional per-layer kernel
-    /// timing (laps land in `timer` whichever path the plan takes).
-    #[must_use]
-    pub fn forward_planned_timed(
+    pub fn forward_planned(
         &self,
         plan: &ForwardPlan,
         timer: Option<&mut ForwardTimer>,
@@ -405,7 +332,7 @@ impl InferenceEngine {
     /// seed sets.
     pub fn logits_for(&self, seeds: &[u32]) -> Result<Matrix, ServeError> {
         let plan = self.plan_for(seeds)?;
-        Ok(self.forward_planned(&plan).gather(seeds))
+        Ok(self.forward_planned(&plan, None).gather(seeds))
     }
 
     /// The "one query per full forward" baseline path: always runs the
@@ -416,7 +343,7 @@ impl InferenceEngine {
     /// Same conditions as [`InferenceEngine::logits_for`].
     pub fn logits_full(&self, seeds: &[u32]) -> Result<Matrix, ServeError> {
         check_seeds(seeds, self.num_nodes())?;
-        Ok(self.forward_planned(&ForwardPlan::Full).gather(seeds))
+        Ok(self.forward_planned(&ForwardPlan::Full, None).gather(seeds))
     }
 
     /// Forces the seed-restricted path regardless of the cost heuristic
@@ -428,10 +355,10 @@ impl InferenceEngine {
     /// Same conditions as [`InferenceEngine::logits_for`].
     pub fn logits_partial(&self, seeds: &[u32]) -> Result<Matrix, ServeError> {
         check_seeds(seeds, self.num_nodes())?;
-        let frontier = Frontier::reverse_hops(&self.ctx.adj, seeds, self.layers.len())
+        let frontier = Frontier::reverse_hops(&self.ctx.adj, seeds, self.model.layers.len())
             .map_err(|e| ServeError::BadModel(e.to_string()))?;
         let plan = ForwardPlan::Partial(frontier);
-        Ok(self.forward_planned(&plan).gather(seeds))
+        Ok(self.forward_planned(&plan, None).gather(seeds))
     }
 }
 
@@ -514,10 +441,10 @@ pub trait BatchEngine: Send + Sync {
     /// forward for every seed in it.
     ///
     /// When `obs` carries the server's [`Telemetry`] hub and the batch
-    /// id, the engine also records plan time, forward wall time and (when
-    /// [`crate::TelemetryConfig::kernel_timing`] is on) per-layer kernel
-    /// laps into the hub's registry, plus batch-level spans when span
-    /// recording is enabled — results are identical either way.
+    /// id, the engine also records plan time, forward wall time and
+    /// per-layer kernel laps into the hub's registry, plus batch-level
+    /// spans when span recording is enabled — results are identical
+    /// either way.
     fn forward_union(&self, union: &[u32], obs: Option<(&Telemetry, u64)>) -> BatchOutcome;
 }
 
@@ -551,17 +478,12 @@ impl BatchEngine for InferenceEngine {
         let partial = plan.is_partial();
         let path = if partial { "partial" } else { "full" };
         let fwd_start = Instant::now();
-        let logits = match obs {
-            Some((tel, _)) if tel.config().kernel_timing => {
-                let mut timer = ForwardTimer::new();
-                let out = self.forward_planned_timed(&plan, Some(&mut timer));
-                tel.record_kernel_laps(path, timer.laps());
-                out
-            }
-            _ => self.forward_planned(&plan),
-        };
-        if let Some((tel, batch_id)) = obs {
+        // Kernel laps are timed whenever a telemetry hub observes the batch.
+        let mut timer = obs.map(|_| ForwardTimer::new());
+        let logits = self.forward_planned(&plan, timer.as_mut());
+        if let Some(((tel, batch_id), timer)) = obs.zip(timer) {
             let fwd_dur = fwd_start.elapsed();
+            tel.record_kernel_laps(path, timer.laps());
             tel.record_plan(plan_dur);
             tel.record_forward(path, fwd_dur);
             if tel.spans_enabled() {
@@ -665,6 +587,19 @@ impl<E: BatchEngine> BatchEngine for FaultInjector<E> {
     }
 }
 
+/// The one gate a snapshot passes on its way into serving, returning the
+/// shared allocation every engine built from it points at: layer count
+/// (>= 2), MaxK k bounds, self-path presence and every per-layer weight
+/// shape — the same checks as the snapshot restore path. A hand-built
+/// snapshot that never went through `from_bytes` must fail here rather
+/// than panic in a worker thread (or silently serve wrong-shaped logits).
+pub(crate) fn validated(snapshot: &ModelSnapshot) -> Result<Arc<ModelSnapshot>, ServeError> {
+    snapshot
+        .check_consistency()
+        .map_err(|e| ServeError::BadModel(e.to_string()))?;
+    Ok(Arc::new(snapshot.clone()))
+}
+
 /// Validates a query's seed set against the node count.
 pub(crate) fn check_seeds(seeds: &[u32], num_nodes: usize) -> Result<(), ServeError> {
     if seeds.is_empty() {
@@ -682,9 +617,17 @@ pub(crate) fn check_seeds(seeds: &[u32], num_nodes: usize) -> Result<(), ServeEr
 mod tests {
     use super::*;
     use maxk_graph::generate;
-    use maxk_nn::{GnnModel, ModelConfig};
+    use maxk_nn::{Activation, Arch, GnnModel, ModelConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl InferenceEngine {
+        /// The weight and feature allocations, for the sharing tests here
+        /// and in `router`/`mutation`.
+        pub(crate) fn operands(&self) -> (&Arc<ModelSnapshot>, &Arc<Matrix>) {
+            (&self.model, &self.features)
+        }
+    }
 
     fn setup(arch: Arch, act: Activation) -> (Csr, Matrix, GnnModel) {
         let graph = generate::chung_lu_power_law(50, 5.0, 2.3, 2)
@@ -816,10 +759,25 @@ mod tests {
                 .with_plan_config(cfg);
             let plan = engine.plan_for(&[2, 31]).unwrap();
             assert_eq!(plan.is_partial(), cfg.work_ratio > 1.0);
-            let out = engine.forward_planned(&plan);
+            let out = engine.forward_planned(&plan, None);
             assert_eq!(out.is_compact(), plan.is_partial());
             assert_eq!(out.gather(&[2, 31]), engine.logits_full(&[2, 31]).unwrap());
         }
+    }
+
+    #[test]
+    fn clone_and_plan_config_share_every_operand() {
+        let (graph, x, model) = setup(Arch::Sage, Activation::MaxK(4));
+        let snap = ModelSnapshot::capture(&model);
+        let first = InferenceEngine::from_snapshot(&snap, &graph, x).unwrap();
+        let second = first.clone().with_plan_config(PlanConfig {
+            seed_frac_cutoff: 0.0,
+            work_ratio: 0.0,
+        });
+        assert!(Arc::ptr_eq(first.operands().0, second.operands().0));
+        assert!(Arc::ptr_eq(first.operands().1, second.operands().1));
+        assert!(Arc::ptr_eq(&first.ctx, &second.ctx));
+        assert_eq!(first.forward_all(), second.forward_all());
     }
 
     #[test]
@@ -827,7 +785,12 @@ mod tests {
         let (graph, x, model) = setup(Arch::Sage, Activation::MaxK(4));
         let snap = ModelSnapshot::capture(&model);
         let first = InferenceEngine::from_snapshot(&snap, &graph, x.clone()).unwrap();
-        let second = InferenceEngine::with_context(&snap, first.context().clone(), x).unwrap();
+        let second = InferenceEngine::with_context(
+            Arc::clone(&first.model),
+            Arc::clone(&first.ctx),
+            Arc::new(x),
+        )
+        .unwrap();
         assert_eq!(first.forward_all(), second.forward_all());
     }
 }

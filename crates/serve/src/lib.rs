@@ -165,6 +165,12 @@ pub enum ServeError {
     ChannelClosed,
     /// Snapshot/feature/graph shapes disagree.
     BadModel(String),
+    /// A feature write carried a NaN or infinite value (top-k selection
+    /// has no order for it); the batch it came in was not applied.
+    NonFiniteFeature {
+        /// The node whose written row held the value.
+        node: u32,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -176,6 +182,9 @@ impl fmt::Display for ServeError {
             ServeError::EmptyQuery => write!(f, "query carried no seeds"),
             ServeError::ChannelClosed => write!(f, "serving channel closed"),
             ServeError::BadModel(msg) => write!(f, "bad model for serving: {msg}"),
+            ServeError::NonFiniteFeature { node } => {
+                write!(f, "feature write for node {node} holds a non-finite value")
+            }
         }
     }
 }

@@ -13,10 +13,16 @@
 //!    rebuild. The resulting operand (and hence every post-mutation
 //!    answer) is **bitwise identical** to an engine built fresh on the
 //!    mutated graph;
-//! 3. **Epoch swap** — a new [`InferenceEngine`] over the updated operand
-//!    and features is published atomically behind an `RwLock`; queries in
-//!    flight finish against the old epoch, new batches pick up the new
-//!    one. Applies are serialized, so epochs are strictly monotone;
+//! 3. **Epoch swap** — operands are owned once, and an epoch shares
+//!    what the batch did not change. The next epoch's [`InferenceEngine`]
+//!    points at the same weight allocation as every epoch before it and
+//!    at the same feature matrix unless the batch wrote a feature row
+//!    (then the matrix is copied once, on write, and readers still
+//!    holding the previous epoch keep the old rows); only the graph
+//!    context is assembled anew, around the spliced operand. The epoch
+//!    is built once and moved behind the `RwLock`; queries in flight
+//!    finish against the old epoch, new batches pick up the new one.
+//!    Applies are serialized, so epochs are strictly monotone;
 //! 4. **Dirty-cone invalidation** — under
 //!    [`InvalidationStrategy::DirtyCone`], the mutation's reverse L-hop
 //!    dependency cone (via [`maxk_graph::Frontier`]) is computed and
@@ -58,17 +64,17 @@
 //! work, noted in ARCHITECTURE.md.
 
 use crate::cache::LogitCache;
-use crate::engine::{BatchEngine, BatchOutcome, InferenceEngine};
+use crate::engine::{validated, BatchEngine, BatchOutcome, InferenceEngine};
 use crate::exec::{self, Executor, StdThreadExecutor, Worker};
 use crate::telemetry::Telemetry;
 use crate::ServeError;
 use maxk_graph::dynamic::{DynamicGraph, EdgeMutation};
-use maxk_graph::{Csr, Frontier, GraphError, WarpPartition};
+use maxk_graph::{Csr, Frontier, GraphError};
 use maxk_nn::snapshot::ModelSnapshot;
 use maxk_nn::{GraphContext, GraphVersion, SnapshotGeneration};
 use maxk_tensor::Matrix;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// One streaming mutation.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,14 +178,14 @@ struct EpochState {
     engine: InferenceEngine,
 }
 
-/// The mutable interior: the incrementally maintained graph, the live
-/// feature matrix and the snapshot new epochs are built from. One mutex
-/// serializes applies, making epochs strictly monotone.
+/// The mutable interior: the incrementally maintained graph and the live
+/// feature matrix, shared with every epoch published since the last
+/// feature write. One mutex serializes applies, making epochs strictly
+/// monotone.
 #[derive(Debug)]
 struct Core {
     graph: DynamicGraph,
-    features: Matrix,
-    snapshot: ModelSnapshot,
+    features: Arc<Matrix>,
     epoch: u64,
 }
 
@@ -191,16 +197,13 @@ struct Core {
 pub struct DynamicEngine {
     state: RwLock<Arc<EpochState>>,
     core: Mutex<Core>,
-    cache: Mutex<Option<Arc<LogitCache>>>,
-    recorder: Mutex<Option<Arc<crate::FlightRecorder>>>,
+    /// The weights every epoch's engine points at, validated in `new`.
+    model: Arc<ModelSnapshot>,
+    cache: OnceLock<Arc<LogitCache>>,
+    recorder: OnceLock<Arc<crate::FlightRecorder>>,
     strategy: InvalidationStrategy,
     stats: StatsInner,
     num_nodes: usize,
-    out_dim: usize,
-    in_dim: usize,
-    hops: usize,
-    eg_width: usize,
-    generation: SnapshotGeneration,
 }
 
 impl DynamicEngine {
@@ -217,59 +220,41 @@ impl DynamicEngine {
         features: Matrix,
         strategy: InvalidationStrategy,
     ) -> Result<Self, ServeError> {
-        let cfg = &snapshot.config;
-        let (aggregator, self_loops) = cfg.arch.aggregation();
+        let model = validated(snapshot)?;
+        let (aggregator, self_loops) = model.config.arch.aggregation();
         let graph = DynamicGraph::from_csr(base, aggregator, self_loops)
             .map_err(|e| ServeError::BadModel(e.to_string()))?;
-        let engine = Self::build_engine(
-            snapshot,
-            &graph,
-            features.clone(),
-            cfg.eg_width,
-            GraphVersion::mint(),
-        )?;
+        let features = Arc::new(features);
+        let engine = Self::epoch_engine(&model, &graph, &features, GraphVersion::mint())?;
         Ok(DynamicEngine {
             state: RwLock::new(Arc::new(EpochState { epoch: 0, engine })),
             core: Mutex::new(Core {
                 graph,
                 features,
-                snapshot: snapshot.clone(),
                 epoch: 0,
             }),
-            cache: Mutex::new(None),
-            recorder: Mutex::new(None),
+            model,
+            cache: OnceLock::new(),
+            recorder: OnceLock::new(),
             strategy,
             stats: StatsInner::default(),
             num_nodes: base.num_nodes(),
-            out_dim: cfg.out_dim,
-            in_dim: cfg.in_dim,
-            hops: cfg.num_layers,
-            eg_width: cfg.eg_width,
-            generation: snapshot.generation,
         })
     }
 
-    /// Assembles an [`InferenceEngine`] from the dynamic graph's cached
-    /// operand — transpose and Edge-Group partition are rebuilt (they
-    /// are cheap relative to normalization), the operand itself is the
-    /// incrementally maintained one.
-    fn build_engine(
-        snapshot: &ModelSnapshot,
+    /// The engine of one epoch: the shared weights and features, and a
+    /// context assembled around the dynamic graph's incrementally
+    /// maintained operand (transpose and Edge-Group partition are cheap
+    /// relative to normalization, which is never redone).
+    fn epoch_engine(
+        model: &Arc<ModelSnapshot>,
         graph: &DynamicGraph,
-        features: Matrix,
-        eg_width: usize,
+        features: &Arc<Matrix>,
         version: GraphVersion,
     ) -> Result<InferenceEngine, ServeError> {
         let adj = graph.operand().clone();
-        let adj_t = adj.transpose();
-        let part = WarpPartition::build(&adj, eg_width);
-        let ctx = GraphContext {
-            adj,
-            adj_t,
-            part,
-            version,
-        };
-        InferenceEngine::with_context(snapshot, ctx, features)
+        let ctx = GraphContext::from_normalized(adj, model.config.eg_width, version);
+        InferenceEngine::with_context(Arc::clone(model), Arc::new(ctx), Arc::clone(features))
     }
 
     /// The configured invalidation strategy.
@@ -305,7 +290,7 @@ impl DynamicEngine {
 
     /// A clone of the current feature matrix.
     pub fn current_features(&self) -> Matrix {
-        self.lock_core().features.clone()
+        Matrix::clone(&self.lock_core().features)
     }
 
     /// Applies one mutation batch: incremental graph/feature update, new
@@ -318,7 +303,9 @@ impl DynamicEngine {
     ///
     /// [`ServeError::SeedOutOfRange`] when a mutation names a node
     /// outside the graph, [`ServeError::BadModel`] on a self-loop edge
-    /// mutation or a feature row of the wrong width.
+    /// mutation or a feature row of the wrong width,
+    /// [`ServeError::NonFiniteFeature`] on a NaN or infinite feature
+    /// value (it would panic top-k selection in a forward worker).
     pub fn apply(&self, batch: &[Mutation]) -> Result<MutationReport, ServeError> {
         let mut edges = Vec::new();
         let mut writes: Vec<(u32, &[f32])> = Vec::new();
@@ -333,12 +320,15 @@ impl DynamicEngine {
                             num_nodes: self.num_nodes,
                         });
                     }
-                    if values.len() != self.in_dim {
+                    let in_dim = self.model.config.in_dim;
+                    if values.len() != in_dim {
                         return Err(ServeError::BadModel(format!(
-                            "feature write for node {node} has {} values, model in_dim is {}",
+                            "feature write for node {node} has {} values, model in_dim is {in_dim}",
                             values.len(),
-                            self.in_dim
                         )));
+                    }
+                    if !values.iter().all(|v| v.is_finite()) {
+                        return Err(ServeError::NonFiniteFeature { node: *node });
                     }
                     writes.push((*node, values));
                 }
@@ -355,8 +345,13 @@ impl DynamicEngine {
             },
             other => ServeError::BadModel(other.to_string()),
         })?;
-        for &(node, values) in &writes {
-            core.features.row_mut(node as usize).copy_from_slice(values);
+        if !writes.is_empty() {
+            // Copy on write: the published epochs keep the matrix they
+            // were built over; an edge-only batch copies no feature row.
+            let features = Arc::make_mut(&mut core.features);
+            for &(node, values) in &writes {
+                features.row_mut(node as usize).copy_from_slice(values);
+            }
         }
 
         self.stats
@@ -390,13 +385,7 @@ impl DynamicEngine {
             InvalidationStrategy::DirtyCone => old_version,
             InvalidationStrategy::BumpVersion => GraphVersion::mint(),
         };
-        let engine = Self::build_engine(
-            &core.snapshot,
-            &core.graph,
-            core.features.clone(),
-            self.eg_width,
-            version,
-        )?;
+        let engine = Self::epoch_engine(&self.model, &core.graph, &core.features, version)?;
 
         // Reverse L-hop dirty cone, computed on the NEW transpose. Edge
         // dirt propagates through L aggregations but the first one is the
@@ -406,15 +395,16 @@ impl DynamicEngine {
         // path leaves its target row dirty, and the path's suffix still
         // exists.
         let adj_t = &engine.context().adj_t;
+        let hops = self.model.config.num_layers;
         let mut cone: Vec<u32> = Vec::new();
         if !effect.dirty_rows.is_empty() {
-            let f = Frontier::reverse_hops(adj_t, &effect.dirty_rows, self.hops - 1)
+            let f = Frontier::reverse_hops(adj_t, &effect.dirty_rows, hops - 1)
                 .map_err(|e| ServeError::BadModel(e.to_string()))?;
             cone.extend_from_slice(f.inputs().ids());
         }
         if !writes.is_empty() {
             let written: Vec<u32> = writes.iter().map(|&(n, _)| n).collect();
-            let f = Frontier::reverse_hops(adj_t, &written, self.hops)
+            let f = Frontier::reverse_hops(adj_t, &written, hops)
                 .map_err(|e| ServeError::BadModel(e.to_string()))?;
             cone.extend_from_slice(f.inputs().ids());
         }
@@ -427,28 +417,19 @@ impl DynamicEngine {
             engine,
         });
 
-        let cache = self.cache.lock().expect("cache slot poisoned").clone();
-        let mut rows_invalidated = 0u64;
-        match self.strategy {
-            InvalidationStrategy::DirtyCone => {
-                // Invalidate, swap, invalidate again: the first pass stops
-                // the cone being served and poisons in-flight leaders, the
-                // second catches fills that raced the swap.
-                if let Some(c) = &cache {
-                    rows_invalidated += c.invalidate_seeds(self.generation, old_version, &cone);
-                }
-                *self.write_state() = Arc::new(EpochState {
-                    epoch: next.epoch,
-                    engine: next.engine.clone(),
-                });
-                if let Some(c) = &cache {
-                    rows_invalidated += c.invalidate_seeds(self.generation, old_version, &cone);
-                }
+        // Under DirtyCone: invalidate, swap, invalidate again — the first
+        // pass stops the cone being served and poisons in-flight leaders,
+        // the second catches fills that raced the swap. BumpVersion just
+        // swaps; its fresh version makes every old row unreachable.
+        let invalidate = || match (self.strategy, self.cache.get()) {
+            (InvalidationStrategy::DirtyCone, Some(c)) => {
+                c.invalidate_seeds(self.model.generation, old_version, &cone)
             }
-            InvalidationStrategy::BumpVersion => {
-                *self.write_state() = next;
-            }
-        }
+            _ => 0,
+        };
+        let mut rows_invalidated = invalidate();
+        *self.state.write().expect("state lock poisoned") = next;
+        rows_invalidated += invalidate();
 
         self.stats.batches_applied.fetch_add(1, Ordering::Relaxed);
         self.stats
@@ -460,12 +441,7 @@ impl DynamicEngine {
 
         // Black-box the swap at its exact time (the monitor only sees
         // counter deltas a tick later).
-        if let Some(rec) = self
-            .recorder
-            .lock()
-            .expect("recorder slot poisoned")
-            .as_ref()
-        {
+        if let Some(rec) = self.recorder.get() {
             rec.record(crate::EventKind::EpochSwap, core.epoch, rows_invalidated);
         }
 
@@ -485,10 +461,6 @@ impl DynamicEngine {
         Arc::clone(&self.state.read().expect("state lock poisoned"))
     }
 
-    fn write_state(&self) -> std::sync::RwLockWriteGuard<'_, Arc<EpochState>> {
-        self.state.write().expect("state lock poisoned")
-    }
-
     fn lock_core(&self) -> std::sync::MutexGuard<'_, Core> {
         self.core.lock().expect("core lock poisoned")
     }
@@ -500,7 +472,7 @@ impl BatchEngine for DynamicEngine {
     }
 
     fn out_dim(&self) -> usize {
-        self.out_dim
+        self.model.config.out_dim
     }
 
     fn num_shards(&self) -> usize {
@@ -508,7 +480,7 @@ impl BatchEngine for DynamicEngine {
     }
 
     fn generation(&self) -> SnapshotGeneration {
-        self.generation
+        self.model.generation
     }
 
     fn graph_version(&self) -> GraphVersion {
@@ -519,12 +491,20 @@ impl BatchEngine for DynamicEngine {
         self.read_state().epoch
     }
 
+    /// # Panics
+    ///
+    /// Panics when a different cache is already bound: invalidation
+    /// reaches one cache, and a second server's would serve stale rows.
     fn bind_cache(&self, cache: &Arc<LogitCache>) {
-        *self.cache.lock().expect("cache slot poisoned") = Some(Arc::clone(cache));
+        let bound = self.cache.get_or_init(|| Arc::clone(cache));
+        assert!(
+            Arc::ptr_eq(bound, cache),
+            "a DynamicEngine invalidates the one cache it was first bound to"
+        );
     }
 
     fn bind_recorder(&self, recorder: &Arc<crate::FlightRecorder>) {
-        *self.recorder.lock().expect("recorder slot poisoned") = Some(Arc::clone(recorder));
+        self.recorder.get_or_init(|| Arc::clone(recorder));
     }
 
     fn forward_union(&self, union: &[u32], obs: Option<(&Telemetry, u64)>) -> BatchOutcome {
@@ -674,6 +654,62 @@ mod tests {
                 "{arch:?} post-mutation logits differ from rebuild"
             );
         }
+    }
+
+    #[test]
+    fn edge_only_batches_share_weights_and_features_with_epoch_zero() {
+        let (snapshot, graph, features) = setup(Arch::Sage);
+        let dynamic =
+            DynamicEngine::new(&snapshot, &graph, features, InvalidationStrategy::DirtyCone)
+                .unwrap();
+        let epoch0 = dynamic.read_state();
+        for u in 0..4u32 {
+            // Toggle {u, 49 - u}: every batch has a net effect.
+            let v = 49 - u;
+            let toggle = if graph.get(u as usize, v).is_some() {
+                Mutation::DeleteEdge { u, v }
+            } else {
+                Mutation::InsertEdge { u, v }
+            };
+            dynamic.apply(&[toggle]).unwrap();
+        }
+        let served = dynamic.read_state();
+        assert_eq!(served.epoch, 4);
+        let (w0, x0) = epoch0.engine.operands();
+        let (w, x) = served.engine.operands();
+        assert!(Arc::ptr_eq(w0, w), "weights re-materialised");
+        assert!(Arc::ptr_eq(x0, x), "edge-only batches copied features");
+        assert!(Arc::ptr_eq(x, &dynamic.lock_core().features));
+    }
+
+    #[test]
+    fn feature_write_copies_features_once_and_old_epoch_keeps_its_rows() {
+        let (snapshot, graph, features) = setup(Arch::Gcn);
+        let dynamic =
+            DynamicEngine::new(&snapshot, &graph, features, InvalidationStrategy::DirtyCone)
+                .unwrap();
+        let before = dynamic.read_state();
+        let logits_before = before.engine.forward_all();
+        dynamic
+            .apply(&[Mutation::WriteFeature {
+                node: 5,
+                values: vec![0.75; 6],
+            }])
+            .unwrap();
+        let after = dynamic.read_state();
+        assert!(Arc::ptr_eq(
+            before.engine.operands().0,
+            after.engine.operands().0
+        ));
+        assert!(!Arc::ptr_eq(
+            before.engine.operands().1,
+            after.engine.operands().1
+        ));
+        // The handle taken before the write still answers pre-write.
+        assert_eq!(before.engine.forward_all(), logits_before);
+        assert_ne!(after.engine.forward_all(), logits_before);
+        assert_eq!(after.engine.operands().1.row(5), [0.75; 6]);
+        assert_ne!(before.engine.operands().1.row(5), [0.75; 6]);
     }
 
     #[test]

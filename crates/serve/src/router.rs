@@ -20,16 +20,19 @@
 //! [`crate::Server`] drives it through the same `Server`/`ServerHandle`
 //! API as the single engine.
 
-use crate::engine::{check_seeds, BatchEngine, BatchLogits, BatchOutcome, InferenceEngine};
+use crate::engine::{
+    check_seeds, validated, BatchEngine, BatchLogits, BatchOutcome, InferenceEngine,
+};
 use crate::exec::{Executor, StdThreadExecutor};
 use crate::telemetry::Telemetry;
 use crate::ServeError;
 use maxk_graph::shard::{ShardStrategy, Sharding};
-use maxk_graph::{Csr, NodeSet, WarpPartition};
+use maxk_graph::{Csr, NodeSet};
 use maxk_nn::plan::PlanConfig;
 use maxk_nn::snapshot::ModelSnapshot;
 use maxk_nn::{GraphContext, GraphVersion, SnapshotGeneration};
 use maxk_tensor::Matrix;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How [`ShardedEngine::from_snapshot`] partitions the graph.
@@ -155,7 +158,9 @@ impl ShardedEngine {
                 cfg.num_shards
             )));
         }
-        let mcfg = &snapshot.config;
+        // Validated and copied once; every shard engine shares the weights.
+        let model = validated(snapshot)?;
+        let mcfg = &model.config;
         // Only the normalized operand is needed globally — the transpose
         // and Edge-Group partition are built per shard on the (smaller)
         // sub-adjacencies, so the global graph is never duplicated.
@@ -176,32 +181,26 @@ impl ShardedEngine {
                     .row_mut(l)
                     .copy_from_slice(features.row(g as usize));
             }
-            // The sub-adjacency is already normalized (it is a row slice
-            // of the global normalized operand), so the context is
-            // assembled directly — GraphContext::build would re-normalize
-            // against the shard's truncated degrees and break bitwise
-            // fidelity.
-            let local_ctx = GraphContext {
-                adj_t: sub_adj.transpose(),
-                part: WarpPartition::build(&sub_adj, mcfg.eg_width),
-                adj: sub_adj,
-                version: graph_version,
-            };
-            let engine = InferenceEngine::with_context(snapshot, local_ctx, local_features)?;
+            // The sub-adjacency is a row slice of the global normalized
+            // operand, so the context is assembled around it as is.
+            let ctx = GraphContext::from_normalized(sub_adj, mcfg.eg_width, graph_version);
+            let engine = InferenceEngine::with_context(
+                Arc::clone(&model),
+                Arc::new(ctx),
+                Arc::new(local_features),
+            )?;
             slots.push(ShardSlot {
                 owned,
                 local,
                 engine,
             });
         }
-        let num_nodes = graph.num_nodes();
-        let out_dim = mcfg.out_dim;
         Ok(ShardedEngine {
             slots,
             owner,
-            num_nodes,
-            out_dim,
-            generation: snapshot.generation,
+            num_nodes: graph.num_nodes(),
+            out_dim: mcfg.out_dim,
+            generation: model.generation,
             graph_version,
         })
     }
@@ -211,7 +210,8 @@ impl ShardedEngine {
     #[must_use]
     pub fn with_plan_config(mut self, cfg: PlanConfig) -> Self {
         for slot in &mut self.slots {
-            slot.engine.set_plan_config(cfg);
+            // The clone shares every operand (refcount bumps, no copies).
+            slot.engine = slot.engine.clone().with_plan_config(cfg);
         }
         self
     }
@@ -444,6 +444,28 @@ mod tests {
         // A spread-out union touches several shards.
         let out = sharded.forward_union(&[0, 30, 79], None);
         assert!(out.shards.len() > 1);
+    }
+
+    #[test]
+    fn shard_engines_share_one_weight_allocation() {
+        let (graph, x, snap) = setup(Arch::Sage, Activation::MaxK(4));
+        let cfg = ShardConfig {
+            num_shards: 4,
+            strategy: ShardStrategy::DegreeBalanced,
+        };
+        let sharded = ShardedEngine::from_snapshot(&snap, &graph, &x, cfg)
+            .unwrap()
+            .with_plan_config(PlanConfig::default());
+        let weights = sharded.slots[0].engine.operands().0;
+        for slot in &sharded.slots[1..] {
+            assert!(Arc::ptr_eq(weights, slot.engine.operands().0));
+        }
+        // A clone of the router shares it too (and every shard's features).
+        let cloned = sharded.clone();
+        for (a, b) in sharded.slots.iter().zip(&cloned.slots) {
+            assert!(Arc::ptr_eq(a.engine.operands().0, b.engine.operands().0));
+            assert!(Arc::ptr_eq(a.engine.operands().1, b.engine.operands().1));
+        }
     }
 
     #[test]

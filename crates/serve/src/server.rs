@@ -120,8 +120,8 @@ pub struct ServeConfig {
     /// Incident-aware observability: declarative serving objectives
     /// evaluated by a monitor thread with multi-window burn-rate
     /// alerting, wired to the flight recorder (a breach triggers an
-    /// incident bundle) and, when [`SloConfig::feedback`] is on, back
-    /// into the adaptive admission controller. `None` (the default)
+    /// incident bundle) and back into the adaptive admission
+    /// controller. `None` (the default)
     /// spawns no monitor thread; setting it forces telemetry on (the
     /// SLO gauges and incident evidence live in its registry and clock).
     pub slo: Option<SloConfig>,
@@ -468,16 +468,6 @@ pub struct BuildInfo {
     pub workers: usize,
 }
 
-/// Stable label for an overload policy (build-info and config JSON).
-fn policy_label(policy: OverloadPolicy) -> &'static str {
-    match policy {
-        OverloadPolicy::Block => "block",
-        OverloadPolicy::RejectNewest => "reject-newest",
-        OverloadPolicy::DropOldest => "drop-oldest",
-        OverloadPolicy::DeadlineShed => "deadline-shed",
-    }
-}
-
 /// The serving configuration as a JSON object, rendered once at spawn
 /// and embedded in every incident bundle — a dump stays interpretable
 /// without the process that wrote it.
@@ -487,7 +477,7 @@ fn render_config_json(cfg: &ServeConfig) -> String {
         .num("max_batch", cfg.max_batch)
         .num("workers", cfg.workers)
         .num("admission_capacity", cfg.admission.capacity)
-        .str("overload_policy", policy_label(cfg.admission.policy))
+        .str("overload_policy", cfg.admission.policy.label())
         .bool("adaptive", cfg.adaptive.is_some())
         .num("cache_rows", cfg.cache.map_or(0, |c| c.capacity))
         .bool("telemetry", cfg.telemetry.enabled)
@@ -862,7 +852,7 @@ impl Server {
             build: BuildInfo {
                 version: env!("CARGO_PKG_VERSION"),
                 shards: engine.num_shards(),
-                policy: policy_label(cfg.admission.policy),
+                policy: cfg.admission.policy.label(),
                 workers: cfg.workers.max(1),
             },
             started: Instant::now(),
@@ -1393,7 +1383,7 @@ impl SloMonitor {
                     rec.trigger(&format!("slo:{}", e.name), breach_context(hub));
                 }
             }
-            if let (true, Some(ctrl)) = (slo_cfg.feedback, adaptive) {
+            if let Some(ctrl) = adaptive {
                 // Breach ⇒ tighten the derived deadline so DeadlineShed
                 // drops load harder; recovery restores the full budget.
                 ctrl.set_deadline_tighten(if hub.any_breached() {
@@ -2477,11 +2467,11 @@ mod tests {
         }
         assert!(prom.contains("maxk_serve_build_info{"));
         assert!(prom.contains(concat!("version=\"", env!("CARGO_PKG_VERSION"), "\"")));
-        assert!(prom.contains("policy=\"deadline-shed\""));
+        assert!(prom.contains("policy=\"deadline\""));
         assert!(prom.contains("workers=\"3\""));
         assert!(prom.contains("maxk_serve_slo_state{"));
         let dump = source.debug_state();
-        assert!(dump.contains("\"overload_policy\":\"deadline-shed\""));
+        assert!(dump.contains("\"overload_policy\":\"deadline\""));
         assert!(dump.contains("\"slo\":["));
         assert!(dump.contains("\"name\":\"latency\""));
         assert!(dump.contains("\"incident_open\":false"));

@@ -58,23 +58,19 @@ pub struct TelemetryConfig {
     /// Fraction of queries that carry a full [`TraceContext`] (span
     /// recording). `0.0` disables tracing, `1.0` traces everything;
     /// intermediate rates trace every ⌈1/rate⌉-th query. Stage
-    /// histograms and kernel counters are **not** sampled — they cover
-    /// every answered query/batch whenever telemetry is enabled.
+    /// histograms and per-layer kernel laps are **not** sampled — they
+    /// cover every answered query/batch whenever telemetry is enabled.
     pub sampling: f64,
-    /// Span-ring capacity (bounded memory for the trace window).
-    pub ring_capacity: usize,
-    /// Per-layer kernel timing in the engines (per batch, not per
-    /// query).
-    pub kernel_timing: bool,
 }
+
+/// Span-ring capacity: the bounded memory of the trace window.
+pub const RING_CAPACITY: usize = 4096;
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
             enabled: true,
             sampling: 0.0,
-            ring_capacity: 4096,
-            kernel_timing: true,
         }
     }
 }
@@ -111,7 +107,6 @@ pub struct StageBreakdown {
 /// records into it.
 #[derive(Debug)]
 pub struct Telemetry {
-    cfg: TelemetryConfig,
     epoch: Instant,
     registry: Registry,
     ring: TraceRing,
@@ -153,9 +148,8 @@ impl Telemetry {
             (1.0 / cfg.sampling.min(1.0)).round().max(1.0) as u64
         };
         Telemetry {
-            cfg,
             epoch: Instant::now(),
-            ring: TraceRing::new(cfg.ring_capacity),
+            ring: TraceRing::new(RING_CAPACITY),
             sample_every,
             sample_ctr: AtomicU64::new(0),
             boost_until_us: AtomicU64::new(0),
@@ -167,11 +161,6 @@ impl Telemetry {
             stage_service,
             stage_e2e,
         }
-    }
-
-    /// The configuration this hub was built with.
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.cfg
     }
 
     /// The metrics registry (engines and the router record kernel and

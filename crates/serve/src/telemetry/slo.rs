@@ -21,10 +21,9 @@
 //! A server evaluates its [`SloHub`] on a monitor tick (the `maxk-slo`
 //! worker): burn rates and states export as `maxk_serve_slo_*` registry
 //! gauges, a transition into [`SloState::Breach`] triggers the flight
-//! recorder (incident bundle + trace-sampling boost) and — when
-//! [`SloConfig::feedback`] is on — tightens the
-//! [`crate::AdaptiveController`]'s derived deadline until the breach
-//! clears.
+//! recorder (incident bundle + trace-sampling boost) and tightens the
+//! [`crate::AdaptiveController`]'s derived deadline (by
+//! [`SloConfig::tighten`]) until the breach clears.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -192,6 +191,14 @@ impl SloSpecSet {
     }
 }
 
+/// Fast-window burn rate at which a tracker enters [`SloState::Warning`].
+pub const WARN_BURN: f64 = 2.0;
+
+/// Fast-window burn rate required for [`SloState::Breach`] (the slow
+/// window must simultaneously burn at ≥ 1.0 — budget actually depleting
+/// — so one sparse spike cannot page).
+pub const BREACH_BURN: f64 = 8.0;
+
 /// SLO engine configuration, carried inside [`crate::ServeConfig`].
 ///
 /// The defaults use serving-bench time constants (seconds, not the
@@ -208,27 +215,16 @@ pub struct SloConfig {
     pub slow_window: Duration,
     /// Monitor evaluation cadence. Default 20ms.
     pub tick: Duration,
-    /// Fast-window burn rate at which a tracker enters
-    /// [`SloState::Warning`]. Default 2.0.
-    pub warn_burn: f64,
-    /// Fast-window burn rate required for [`SloState::Breach`] (the
-    /// slow window must simultaneously burn at ≥ 1.0 — budget actually
-    /// depleting — so one sparse spike cannot page). Default 8.0.
-    pub breach_burn: f64,
     /// Minimum events in a window before its burn rate reads nonzero
     /// (no alerting off a near-empty window). Default 16.
     pub min_events: u64,
     /// Flight-recorder knobs (ring byte bound, post-trigger window,
     /// re-trigger cooldown).
     pub recorder: RecorderConfig,
-    /// Feed breaches back into the [`crate::AdaptiveController`]:
-    /// while any objective is breached the derived deadline is
-    /// multiplied by [`SloConfig::tighten`], shedding harder until the
-    /// burn clears. Default `true` (no-op without an adaptive
-    /// controller).
-    pub feedback: bool,
-    /// Deadline multiplier applied while breached (in `(0, 1]`).
-    /// Default 0.5.
+    /// Breaches feed back into the [`crate::AdaptiveController`]: while
+    /// any objective is breached the derived deadline is multiplied by
+    /// this factor (in `(0, 1]`), shedding harder until the burn clears
+    /// (no-op without an adaptive controller). Default 0.5.
     pub tighten: f64,
 }
 
@@ -239,11 +235,8 @@ impl Default for SloConfig {
             fast_window: Duration::from_secs(5),
             slow_window: Duration::from_secs(60),
             tick: Duration::from_millis(20),
-            warn_burn: 2.0,
-            breach_burn: 8.0,
             min_events: 16,
             recorder: RecorderConfig::default(),
-            feedback: true,
             tighten: 0.5,
         }
     }
@@ -268,9 +261,9 @@ impl SloConfig {
 pub enum SloState {
     /// Burn within budget.
     Ok,
-    /// The fast window burns above [`SloConfig::warn_burn`].
+    /// The fast window burns above [`WARN_BURN`].
     Warning,
-    /// The fast window burns above [`SloConfig::breach_burn`] while the
+    /// The fast window burns above [`BREACH_BURN`] while the
     /// slow window confirms budget depletion (burn ≥ 1.0).
     Breach,
 }
@@ -401,10 +394,10 @@ impl WindowRing {
 /// The pure state function: burn rates in, state out. Monotone in both
 /// burn rates (raising either can only raise the state), which is what
 /// makes the engine flap-free without signal.
-pub fn state_of(cfg: &SloConfig, fast_burn: f64, slow_burn: f64) -> SloState {
-    if fast_burn >= cfg.breach_burn && slow_burn >= 1.0 {
+pub fn state_of(fast_burn: f64, slow_burn: f64) -> SloState {
+    if fast_burn >= BREACH_BURN && slow_burn >= 1.0 {
         SloState::Breach
-    } else if fast_burn >= cfg.warn_burn {
+    } else if fast_burn >= WARN_BURN {
         SloState::Warning
     } else {
         SloState::Ok
@@ -468,7 +461,7 @@ impl SloTracker {
         self.fast_burn = self.burn(self.cfg.fast_window, now_us);
         self.slow_burn = self.burn(self.cfg.slow_window, now_us);
         let prev = self.state;
-        let next = state_of(&self.cfg, self.fast_burn, self.slow_burn);
+        let next = state_of(self.fast_burn, self.slow_burn);
         if next != prev {
             self.transitions += 1;
             if next == SloState::Breach {
@@ -749,12 +742,11 @@ mod tests {
 
     #[test]
     fn state_function_is_monotone() {
-        let c = cfg();
-        assert_eq!(state_of(&c, 0.0, 0.0), SloState::Ok);
-        assert_eq!(state_of(&c, c.warn_burn, 0.5), SloState::Warning);
-        assert_eq!(state_of(&c, c.breach_burn, 0.5), SloState::Warning);
-        assert_eq!(state_of(&c, c.breach_burn, 1.0), SloState::Breach);
-        assert!(state_of(&c, 100.0, 100.0) >= state_of(&c, 1.0, 1.0));
+        assert_eq!(state_of(0.0, 0.0), SloState::Ok);
+        assert_eq!(state_of(WARN_BURN, 0.5), SloState::Warning);
+        assert_eq!(state_of(BREACH_BURN, 0.5), SloState::Warning);
+        assert_eq!(state_of(BREACH_BURN, 1.0), SloState::Breach);
+        assert!(state_of(100.0, 100.0) >= state_of(1.0, 1.0));
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! path touches no shared state until the reply, when the finished
 //! context is folded into spans and pushed into the [`TraceRing`].
 //!
-//! The ring is bounded (`ring_capacity` slots, oldest overwritten) and
-//! its push path is wait-free on the index side: an atomic fetch-add
-//! picks the slot, and only that one slot's mutex is taken to write the
-//! record. Unsampled queries never touch the ring at all — that is what
+//! The ring is bounded ([`super::RING_CAPACITY`] slots in a server, oldest
+//! overwritten) and its push path is wait-free on the index side: an
+//! atomic fetch-add picks the slot, and only that one slot's mutex is
+//! taken to write the record. Unsampled queries never touch the ring at all — that is what
 //! keeps full-rate serving overhead within the sampling budget.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -18,7 +18,7 @@ use maxk_gnn::nn::snapshot::ModelSnapshot;
 use maxk_gnn::nn::{Activation, Arch, GnnModel, GraphContext, ModelConfig};
 use maxk_gnn::serve::{
     BatchEngine, DynamicEngine, InferenceEngine, InvalidationStrategy, Mutation, MutationIngress,
-    OverloadPolicy, QueryOptions, QueryResponse, Server, ServerHandle, TelemetryConfig,
+    OverloadPolicy, QueryOptions, QueryResponse, ServeError, Server, ServerHandle, TelemetryConfig,
     ZipfSampler,
 };
 use maxk_gnn::tensor::Matrix;
@@ -458,6 +458,63 @@ fn mixed_read_write_holds_staleness_and_books() {
         cache.hits + cache.misses + cache.coalesced,
         answered + 2 * NODES as u64
     );
+}
+
+/// A non-finite feature write is refused where it enters — it would
+/// otherwise panic top-k selection (`exact_select` has no order for NaN)
+/// inside a forward worker. The whole batch is dropped: epoch, graph and
+/// features stay put, and the server keeps answering bitwise-correctly.
+#[test]
+fn non_finite_feature_write_is_rejected_and_serving_continues() {
+    let (snapshot, graph, features) = serving_setup(Arch::Gcn);
+    let engine = Arc::new(
+        DynamicEngine::new(
+            &snapshot,
+            &graph,
+            features.clone(),
+            InvalidationStrategy::DirtyCone,
+        )
+        .unwrap(),
+    );
+    let server = Server::builder()
+        .cache_capacity(4 * NODES)
+        .workers(1)
+        .start(Arc::clone(&engine));
+    let handle = server.handle();
+    let reference = engine.forward_all();
+
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut values = vec![0.5; 6];
+        values[3] = bad;
+        let batch = [
+            Mutation::InsertEdge { u: 0, v: 41 },
+            Mutation::WriteFeature { node: 9, values },
+        ];
+        assert_eq!(
+            engine.apply(&batch),
+            Err(ServeError::NonFiniteFeature { node: 9 }),
+            "{bad} must be refused"
+        );
+    }
+    assert_eq!(engine.stats().epoch, 0);
+    assert_eq!(engine.stats().feature_writes, 0);
+    assert_eq!(engine.current_graph(), graph);
+    assert_eq!(engine.current_features(), features);
+
+    let all: Vec<u32> = (0..NODES as u32).collect();
+    let a = answer(&handle, &all);
+    assert_eq!(a.epoch, 0);
+    assert_eq!(a.logits, reference);
+    // A finite write after the refused ones still lands.
+    let report = engine
+        .apply(&[Mutation::WriteFeature {
+            node: 9,
+            values: vec![0.5; 6],
+        }])
+        .unwrap();
+    assert_eq!(report.epoch, 1);
+    assert_eq!(answer(&handle, &all).logits, engine.forward_all());
+    server.shutdown();
 }
 
 /// The no-op trait defaults: a frozen engine is forever at epoch 0 and

@@ -14,7 +14,7 @@
 use maxk_gnn::graph::generate;
 use maxk_gnn::nn::snapshot::ModelSnapshot;
 use maxk_gnn::nn::{Activation, Arch, GnnModel, ModelConfig};
-use maxk_gnn::serve::admission::{AdmissionQueue, AdmissionSnapshot};
+use maxk_gnn::serve::admission::{AdmissionQueue, AdmissionSnapshot, DEADLINE_MULTIPLIER};
 use maxk_gnn::serve::{
     AdaptiveConfig, AdaptiveController, AdmissionConfig, ClassWeights, Executor, InferenceEngine,
     OverloadPolicy, QueryOptions, Server, ShutdownBarrier, StdThreadExecutor,
@@ -83,7 +83,7 @@ proptest! {
         // Convergence criterion: derived deadline within 2x of the
         // budget implied by the true service time.
         let derived = ctrl.derived_deadline().expect("derived").as_micros() as f64;
-        let want = cfg.deadline_multiplier * base_us as f64;
+        let want = DEADLINE_MULTIPLIER * base_us as f64;
         prop_assert!(
             derived >= want / 2.0 && derived <= want * 2.0,
             "derived deadline {derived}us not within 2x of {want}us"

@@ -92,7 +92,7 @@ fn planner_prefers_partial_for_small_batches_and_full_for_saturating_ones() {
     assert!(!engine.plan_for(&all).unwrap().is_partial());
     // Whatever the decision for one seed, executing the plan stays exact.
     let plan = engine.plan_for(&[5]).unwrap();
-    let out = engine.forward_planned(&plan);
+    let out = engine.forward_planned(&plan, None);
     assert_eq!(out.gather(&[5]), engine.logits_full(&[5]).unwrap());
 }
 

@@ -273,11 +273,10 @@ proptest! {
             0u64..20_000,
         )
     ) {
-        let cfg = SloConfig::default();
         let (fast, slow) = (fast_m as f64 / 1000.0, slow_m as f64 / 1000.0);
         let (dfast, dslow) = (dfast_m as f64 / 1000.0, dslow_m as f64 / 1000.0);
-        let base = state_of(&cfg, fast, slow);
-        let worse = state_of(&cfg, fast + dfast, slow + dslow);
+        let base = state_of(fast, slow);
+        let worse = state_of(fast + dfast, slow + dslow);
         prop_assert!(
             worse >= base,
             "more burn lowered the state: ({fast},{slow})={base:?} vs \
