@@ -23,12 +23,39 @@ pub enum SpIndex {
     U16(Vec<u16>),
 }
 
+/// Bytes per stored index of a `dim_origin`-wide matrix.
+fn index_width(dim_origin: usize) -> usize {
+    if dim_origin <= 256 {
+        1
+    } else {
+        2
+    }
+}
+
+/// The `k`-wide chunks `rows[r] * k .. (rows[r] + 1) * k` of `v`,
+/// concatenated in `rows` order.
+fn gather_chunks<T: Copy>(v: &[T], k: usize, rows: &[usize]) -> Vec<T> {
+    let mut out = Vec::with_capacity(rows.len() * k);
+    for &r in rows {
+        out.extend_from_slice(&v[r * k..(r + 1) * k]);
+    }
+    out
+}
+
 impl SpIndex {
     fn with_capacity(dim_origin: usize, len: usize) -> Self {
-        if dim_origin <= 256 {
+        if index_width(dim_origin) == 1 {
             SpIndex::U8(vec![0u8; len])
         } else {
             SpIndex::U16(vec![0u16; len])
+        }
+    }
+
+    /// The indices of rows `rows` of an `N × k` layout, in that order.
+    fn gather_rows(&self, k: usize, rows: &[usize]) -> Self {
+        match self {
+            SpIndex::U8(v) => SpIndex::U8(gather_chunks(v, k, rows)),
+            SpIndex::U16(v) => SpIndex::U16(gather_chunks(v, k, rows)),
         }
     }
 
@@ -204,7 +231,53 @@ impl Cbsr {
     /// Bytes one row occupies in memory: `k * (4 + index_width)` — the
     /// per-`nnz` fetch cost in the §4.3 traffic analysis.
     pub fn row_bytes(&self) -> usize {
-        self.k * (4 + self.sp_index.bytes_per_element())
+        Self::row_bytes_of(self.dim_origin, self.k)
+    }
+
+    /// [`Cbsr::row_bytes`] of a `k`-of-`dim_origin` matrix, from its shape
+    /// alone (for sizing an operand before it is computed).
+    pub fn row_bytes_of(dim_origin: usize, k: usize) -> usize {
+        k * (4 + index_width(dim_origin))
+    }
+
+    /// Copies the rows at `rows` into a fresh compact matrix: row `r` of
+    /// the result is row `rows[r]` of `self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a row is out of bounds.
+    #[must_use]
+    pub fn gather_rows(&self, rows: &[usize]) -> Cbsr {
+        Cbsr {
+            num_rows: rows.len(),
+            dim_origin: self.dim_origin,
+            k: self.k,
+            sp_data: gather_chunks(&self.sp_data, self.k, rows),
+            sp_index: self.sp_index.gather_rows(self.k, rows),
+        }
+    }
+
+    /// Overwrites row `rows[r]` with row `r` of `src`, values and
+    /// pattern — the inverse of [`Cbsr::gather_rows`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `src` has a different `k` or `dim_origin`, when
+    /// `rows.len() != src.num_rows()`, or when a row is out of bounds.
+    pub fn write_rows(&mut self, rows: &[usize], src: &Cbsr) {
+        assert_eq!(
+            (self.k, self.dim_origin),
+            (src.k, src.dim_origin),
+            "CBSR shapes differ"
+        );
+        assert_eq!(rows.len(), src.num_rows, "one target row per source row");
+        let k = self.k;
+        for (s, &r) in rows.iter().enumerate() {
+            self.sp_data[r * k..(r + 1) * k].copy_from_slice(src.row_data(s));
+            for t in 0..k {
+                self.sp_index.set(r * k + t, src.index_at(s, t));
+            }
+        }
     }
 
     /// Checks the format invariants.
@@ -334,6 +407,30 @@ mod tests {
         assert_eq!(z.index_at(0, 1), 9);
         assert!(z.sp_data().iter().all(|&v| v == 0.0));
         z.validate().unwrap();
+    }
+
+    #[test]
+    fn gather_and_write_rows_round_trip_at_both_index_widths() {
+        for dim in [10usize, 300] {
+            let mut c = Cbsr::zeros(3, dim, 2);
+            c.set_entry(0, 0, 1, 1.0);
+            c.set_entry(0, 1, dim - 1, 2.0);
+            c.set_entry(2, 0, 4, 3.0);
+            c.set_entry(2, 1, 7, 4.0);
+            let picked = c.gather_rows(&[2, 0, 2]);
+            assert_eq!(picked.num_rows(), 3);
+            assert_eq!(picked.row_bytes(), Cbsr::row_bytes_of(dim, 2));
+            assert_eq!((picked.index_at(0, 1), picked.row_data(0)[1]), (7, 4.0));
+            assert_eq!(
+                (picked.index_at(1, 1), picked.row_data(1)[1]),
+                (dim - 1, 2.0)
+            );
+            picked.validate().unwrap();
+            let mut target = Cbsr::zeros(3, dim, 2);
+            target.write_rows(&[2, 0, 2], &picked);
+            target.write_rows(&[1], &c.gather_rows(&[1]));
+            assert_eq!(target, c);
+        }
     }
 
     #[test]

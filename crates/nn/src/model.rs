@@ -357,12 +357,12 @@ impl GnnModel {
                     "frontier depth must match the model"
                 );
                 let layers: Vec<PlanLayer<'_>> = self.convs.iter().map(Conv::plan_layer).collect();
-                let compact = crate::plan::partial_forward(
+                let compact = crate::plan::forward(
                     &self.ctx,
                     self.cfg.arch,
                     &layers,
-                    frontier,
-                    x,
+                    crate::plan::Input::Features(x),
+                    Some(frontier),
                     None,
                 );
                 gather(&compact, &|s| {

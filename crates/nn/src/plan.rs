@@ -8,17 +8,27 @@
 //! heuristic, and [`eval_layer`] is the one eval-mode layer both plans
 //! run over [`PlanLayer`] weight views — all rows with the full kernels,
 //! or an `(out_set, in_set)` row subset with the `maxk_core::subset`
-//! kernels. [`partial_forward`] drives it down a frontier;
-//! [`crate::GnnModel::forward_planned`] and `maxk-serve`'s
-//! `InferenceEngine` route through it, so the serving layer math lives in
-//! exactly one place (`Conv::forward` stays separate: it is the training
-//! path and the reference the engine is compared against).
+//! kernels. It is split along the paper's phase boundary:
+//! [`combine`] (linear + bias, MaxK → CBSR, the SAGE self product) then
+//! [`aggregate`] (SpGEMM/SpMM and the self/GIN add), with
+//! `eval_layer = aggregate ∘ combine`. [`forward`] drives the layers over
+//! all rows or down a frontier; [`crate::GnnModel::forward_planned`] and
+//! `maxk-serve`'s `InferenceEngine` route through it, so the serving
+//! layer math lives in exactly one place (`Conv::forward` stays separate:
+//! it is the training path and the reference the engine is compared
+//! against).
+//!
+//! Layer 0's combination phase reads only the input features and the
+//! weights, so a caller whose features outlive one batch computes it once
+//! and starts every forward at [`Input::Combined`]; [`LayerCost::hoisted`]
+//! tells the cost model that layer's dense rows are already paid for.
 //!
 //! Partial outputs are **bitwise equal** to the corresponding rows of the
-//! full forward: every step (per-row linear transform, MaxK selection,
+//! full forward, and a forward from a kept [`Combined`] to one from the
+//! features: every step (per-row linear transform, MaxK selection,
 //! row-subset aggregation via `maxk_core::subset`, self paths) performs
 //! the same floating-point operations in the same order as the full-graph
-//! path, just skipping rows nobody asked for.
+//! path, just skipping rows nobody asked for or rows computed earlier.
 
 use crate::conv::{Activation, Arch, GraphContext};
 use maxk_core::maxk::{maxk_backward, maxk_forward};
@@ -37,16 +47,16 @@ use std::time::{Duration, Instant};
 /// the dense-operand SpMM or the CBSR SSpMM path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum KernelKind {
-    /// Dense linear transform (`matmul` + bias, SAGE self path, GIN
-    /// scale-and-add).
+    /// Dense linear transform of the combination phase (`matmul` + bias
+    /// on the neighbor and SAGE self paths, ReLU).
     DenseLinear,
     /// Row-wise SpMM aggregation over a dense operand (ReLU / linear
-    /// activations).
+    /// activations), with the layer's self/GIN add.
     SpMM,
     /// SSpMM / SpGEMM aggregation over the sparse CBSR operand (MaxK
-    /// activations).
+    /// activations), with the layer's self/GIN add.
     SSpMM,
-    /// MaxK selection (CBSR construction) and its backward-style scatter.
+    /// MaxK selection (CBSR construction).
     MaxK,
     /// Row gathers/scatters that remap between full-graph and
     /// frontier-compact indexing on the partial path.
@@ -143,10 +153,11 @@ impl Default for PlanConfig {
 ///
 /// The unit of cost is one multiply-accumulate. A layer's dense linear
 /// costs `rows × in_dim × out_dim` (rows = every node whose transform the
-/// layer computes; doubled-ish when a SAGE self linear exists), and its
-/// sparse aggregation costs `row visits × agg_width` (`agg_width` is the
-/// MaxK `k` when the layer's activation runs the CBSR path, the dense
-/// layer width otherwise).
+/// layer computes; doubled-ish when a SAGE self linear exists) unless the
+/// caller already holds its product, and its sparse aggregation costs
+/// `row visits × agg_width` (`agg_width` is the MaxK `k` when the
+/// layer's activation runs the CBSR path, the dense layer width
+/// otherwise).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerCost {
     /// Linear input dimension.
@@ -157,6 +168,9 @@ pub struct LayerCost {
     pub agg_width: usize,
     /// Whether a SAGE-style self linear runs at the output rows too.
     pub has_self_linear: bool,
+    /// Whether the forward starts at this layer's [`Combined`]
+    /// ([`Input::Combined`]): no plan computes a dense-linear row for it.
+    pub linear_hoisted: bool,
 }
 
 impl LayerCost {
@@ -177,7 +191,29 @@ impl LayerCost {
             out_dim,
             agg_width,
             has_self_linear,
+            linear_hoisted: false,
         }
+    }
+
+    /// The cost of the same layer when its combination phase is computed
+    /// ahead of the forward.
+    #[must_use]
+    pub fn hoisted(self) -> Self {
+        LayerCost {
+            linear_hoisted: true,
+            ..self
+        }
+    }
+
+    /// Dense-linear multiply-accumulates when the neighbor transform runs
+    /// at `neigh_rows` rows and the self transform (if any) at
+    /// `self_rows`.
+    fn linear_cost(&self, neigh_rows: usize, self_rows: usize) -> f64 {
+        if self.linear_hoisted {
+            return 0.0;
+        }
+        let rows = neigh_rows + usize::from(self.has_self_linear) * self_rows;
+        (rows * self.in_dim * self.out_dim) as f64
     }
 }
 
@@ -186,17 +222,14 @@ impl LayerCost {
 pub fn full_cost(num_nodes: usize, num_edges: usize, layers: &[LayerCost]) -> f64 {
     layers
         .iter()
-        .map(|lc| {
-            let lin_rows = num_nodes * (1 + usize::from(lc.has_self_linear));
-            (lin_rows * lc.in_dim * lc.out_dim) as f64 + (num_edges * lc.agg_width) as f64
-        })
+        .map(|lc| lc.linear_cost(num_nodes, num_nodes) + (num_edges * lc.agg_width) as f64)
         .sum()
 }
 
 /// Modelled multiply-accumulate cost of a partial forward over
 /// `frontier`: layer `l` transforms the level-`hops-l` rows (plus the
 /// level-`hops-1-l` rows again when a self linear exists) and aggregates
-/// the hop-`hops-1-l` row visits.
+/// the hop-`hops-1-l` row visits. A hoisted layer only aggregates.
 ///
 /// # Panics
 ///
@@ -212,11 +245,8 @@ pub fn partial_cost(frontier: &Frontier, layers: &[LayerCost]) -> f64 {
         .iter()
         .enumerate()
         .map(|(l, lc)| {
-            let mut lin_rows = frontier.level(hops - l).len();
-            if lc.has_self_linear {
-                lin_rows += frontier.level(hops - 1 - l).len();
-            }
-            (lin_rows * lc.in_dim * lc.out_dim) as f64
+            let (out_rows, in_rows) = (frontier.level(hops - 1 - l), frontier.level(hops - l));
+            lc.linear_cost(in_rows.len(), out_rows.len())
                 + (frontier.edge_work_at(hops - 1 - l) * lc.agg_width) as f64
         })
         .sum()
@@ -331,6 +361,19 @@ impl PlanLayer<'_> {
             self.self_path.is_some(),
         )
     }
+
+    /// Bytes per input row of this layer's [`Combined`]
+    /// ([`Combined::bytes`] over its row count, known from the shapes
+    /// before anything is computed): the CBSR or dense neighbor operand
+    /// plus the dense self product when there is a self path.
+    pub fn combined_row_bytes(&self) -> usize {
+        let out_dim = self.neigh_weight.cols();
+        let h = match self.activation {
+            Some(Activation::MaxK(k)) => Cbsr::row_bytes_of(out_dim, k),
+            _ => out_dim * 4,
+        };
+        h + usize::from(self.self_path.is_some()) * out_dim * 4
+    }
 }
 
 /// Copies the rows of `m` at `positions` into a fresh compact matrix.
@@ -354,60 +397,168 @@ fn positions_in(sub: &NodeSet, sup: &NodeSet) -> Vec<usize> {
         .collect()
 }
 
-/// Runs a seed-restricted eval-mode forward over `layers`.
+/// A layer's neighbor operand after its activation — what the
+/// aggregation kernel reads.
+#[derive(Debug, Clone, PartialEq)]
+enum Activated {
+    /// ReLU or no activation: the row-wise SpMM operand.
+    Dense(Matrix),
+    /// MaxK: the CBSR operand of SpGEMM/SSpMM (§3.2); the dense
+    /// pre-activation is gone once the selection has read it.
+    Sparse(Cbsr),
+}
+
+/// What a layer's combination phase ([`combine`]) hands its aggregation
+/// phase ([`aggregate`]): the activated neighbor operand at the layer's
+/// input rows and, on SAGE, the self product at its output rows. Every
+/// row is a function of the same row of the layer input alone, so rows
+/// can be gathered ([`Combined::gather`]) and recomputed
+/// ([`Combined::write_rows`]) independently.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Combined {
+    h: Activated,
+    self_y: Option<Matrix>,
+}
+
+impl Combined {
+    /// Heap bytes of the operands held.
+    pub fn bytes(&self) -> usize {
+        let h = match &self.h {
+            Activated::Dense(m) => m.data().len() * 4,
+            Activated::Sparse(c) => c.num_rows() * c.row_bytes(),
+        };
+        h + self.self_y.as_ref().map_or(0, |m| m.data().len() * 4)
+    }
+
+    /// The neighbor operand at rows `in_rows` and the self product at
+    /// rows `out_rows`, compact in those orders — a partial plan's
+    /// layer-0 operands, or a shard's slice (both lists its local rows).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a row is out of bounds.
+    #[must_use]
+    pub fn gather(&self, in_rows: &[u32], out_rows: &[u32]) -> Combined {
+        let rows: Vec<usize> = in_rows.iter().map(|&r| r as usize).collect();
+        Combined {
+            h: match &self.h {
+                Activated::Dense(m) => Activated::Dense(gather_rows_at(m, rows.into_iter())),
+                Activated::Sparse(c) => Activated::Sparse(c.gather_rows(&rows)),
+            },
+            self_y: self
+                .self_y
+                .as_ref()
+                .map(|m| gather_rows_at(m, out_rows.iter().map(|&r| r as usize))),
+        }
+    }
+
+    /// Overwrites rows `rows` of both operands with the rows of `patch`,
+    /// a [`combine`] of the same layer over just those rows' new inputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `patch` has a different shape or row count, or a row
+    /// is out of bounds.
+    pub fn write_rows(&mut self, rows: &[u32], patch: &Combined) {
+        let write = |m: &mut Matrix, src: &Matrix| {
+            assert_eq!(rows.len(), src.rows(), "one target row per patch row");
+            for (s, &r) in rows.iter().enumerate() {
+                m.row_mut(r as usize).copy_from_slice(src.row(s));
+            }
+        };
+        match (&mut self.h, &patch.h) {
+            (Activated::Dense(m), Activated::Dense(src)) => write(m, src),
+            (Activated::Sparse(c), Activated::Sparse(src)) => {
+                let rows: Vec<usize> = rows.iter().map(|&r| r as usize).collect();
+                c.write_rows(&rows, src);
+            }
+            _ => panic!("patch comes from a different activation"),
+        }
+        match (&mut self.self_y, &patch.self_y) {
+            (Some(m), Some(src)) => write(m, src),
+            (None, None) => {}
+            _ => panic!("patch comes from a different architecture"),
+        }
+    }
+}
+
+/// What a [`forward`] starts from.
+#[derive(Debug, Clone, Copy)]
+pub enum Input<'a> {
+    /// The full-graph feature matrix: layer 0 runs both phases.
+    Features(&'a Matrix),
+    /// Layer 0's [`combine`] over all graph rows, computed once by a
+    /// caller whose features outlive the batch: layer 0 only aggregates.
+    Combined(&'a Combined),
+}
+
+/// Runs an eval-mode forward over `layers`: every row when `frontier` is
+/// `None` (the result is full-graph), or seed-restricted down `frontier`
+/// (the result is compact over `frontier.seeds()`, row `r` bitwise equal
+/// to row `frontier.seeds().ids()[r]` of the full-graph forward).
 ///
-/// `features` is the full-graph input matrix; the result is compact over
-/// `frontier.seeds()` (`seeds().len() × out_dim`), with row `r` bitwise
-/// equal to row `frontier.seeds().ids()[r]` of the full-graph eval
-/// forward. When `timer` is present, every kernel call is recorded as a
-/// `(layer, `[`KernelKind`]`)` lap; the computation is identical either
-/// way (the timer only wraps calls in wall-clock reads).
+/// `input` covers all graph rows either way; a partial plan gathers the
+/// rows its frontier reads. When `timer` is present, every kernel call is
+/// recorded as a `(layer, `[`KernelKind`]`)` lap; the computation is
+/// identical either way (the timer only wraps calls in wall-clock reads).
 ///
 /// # Panics
 ///
-/// Panics when `frontier.hops() != layers.len()`, when shapes disagree, or
-/// when `arch`/`self_path` presence are inconsistent.
+/// Panics when `layers` is empty, when `frontier.hops() != layers.len()`,
+/// when shapes disagree, or when `arch`/`self_path` presence are
+/// inconsistent.
 #[must_use]
-pub fn partial_forward(
+pub fn forward(
     ctx: &GraphContext,
     arch: Arch,
     layers: &[PlanLayer<'_>],
-    frontier: &Frontier,
-    features: &Matrix,
+    input: Input<'_>,
+    frontier: Option<&Frontier>,
     mut timer: Option<&mut ForwardTimer>,
 ) -> Matrix {
-    assert_eq!(
-        frontier.hops(),
-        layers.len(),
-        "frontier depth must match the layer count"
-    );
-    assert_eq!(
-        features.rows(),
-        ctx.adj.num_nodes(),
-        "feature rows must match graph nodes"
-    );
     let hops = layers.len();
-    let mut x = {
-        let mut slot0 = timer.as_deref_mut().map(|t| (t, 0usize));
-        timed_lap(&mut slot0, KernelKind::Gather, || {
-            gather_rows_at(
-                features,
-                frontier.inputs().ids().iter().map(|&id| id as usize),
-            )
-        })
+    if let Some(f) = frontier {
+        assert_eq!(f.hops(), hops, "frontier depth must match the layer count");
+    }
+    let rows = |l: usize| frontier.map(|f| (f.level(hops - l - 1), f.level(hops - l)));
+    let mut slot = timer.as_deref_mut().map(|t| (t, 0usize));
+    let mut x = match input {
+        Input::Features(features) => {
+            assert_eq!(
+                features.rows(),
+                ctx.adj.num_nodes(),
+                "feature rows must match graph nodes"
+            );
+            let gathered = frontier.map(|f| {
+                timed_lap(&mut slot, KernelKind::Gather, || {
+                    gather_rows_at(features, f.inputs().ids().iter().map(|&id| id as usize))
+                })
+            });
+            let x = gathered.as_ref().unwrap_or(features);
+            eval_layer(ctx, arch, &layers[0], x, rows(0), slot)
+        }
+        Input::Combined(all) => {
+            let gathered = rows(0).map(|(out_set, in_set)| {
+                timed_lap(&mut slot, KernelKind::Gather, || {
+                    all.gather(in_set.ids(), out_set.ids())
+                })
+            });
+            let c = gathered.as_ref().unwrap_or(all);
+            aggregate(ctx, arch, layers[0].eps, c, rows(0), &mut slot)
+        }
     };
-    for (l, layer) in layers.iter().enumerate() {
-        let rows = (frontier.level(hops - l - 1), frontier.level(hops - l));
+    for (l, layer) in layers.iter().enumerate().skip(1) {
         let slot = timer.as_deref_mut().map(|t| (t, l));
-        x = eval_layer(ctx, arch, layer, &x, Some(rows), slot);
+        x = eval_layer(ctx, arch, layer, &x, rows(l), slot);
     }
     x
 }
 
 /// One eval-mode layer — the only copy of the arch × activation dataflow
-/// that serving runs, for full and partial plans alike. It mirrors
-/// `Conv::forward` with `train = false` (same kernels in the same order,
-/// so logits are bit-identical to the training model's eval pass).
+/// that serving runs, for full and partial plans alike: [`aggregate`] of
+/// [`combine`]. It mirrors `Conv::forward` with `train = false` (same
+/// kernels in the same order, so logits are bit-identical to the training
+/// model's eval pass).
 ///
 /// `rows = None` computes every graph row from a full-graph `x` with the
 /// full kernels (`spgemm_forward` over the Edge-Group partition,
@@ -431,80 +582,118 @@ pub fn eval_layer(
     rows: Option<(&NodeSet, &NodeSet)>,
     mut timer: Option<(&mut ForwardTimer, usize)>,
 ) -> Matrix {
-    // Combination phase: the linear transform at every input row (on a
-    // partial plan each one feeds some output row).
-    let z = timed_lap(&mut timer, KernelKind::DenseLinear, || {
-        let mut z = ops::matmul(x, layer.neigh_weight);
-        ops::add_bias(&mut z, layer.neigh_bias);
-        z
-    });
+    let c = combine(layer, x, rows, &mut timer);
+    aggregate(ctx, arch, layer.eps, &c, rows, &mut timer)
+}
 
-    // Aggregation phase.
-    let spmm = |h: &Matrix| match rows {
-        None => spmm_rowwise(&ctx.adj, h),
-        Some((out_set, in_set)) => spmm_rows(&ctx.adj, h, out_set, in_set),
-    };
-    let mut pattern = None;
-    let mut y = match layer.activation {
-        Some(Activation::MaxK(k)) => {
-            let hs = timed_lap(&mut timer, KernelKind::MaxK, || {
-                maxk_forward(&z, k).expect("k validated at model construction")
-            });
-            let y = timed_lap(&mut timer, KernelKind::SSpMM, || match rows {
-                None => spgemm_forward(&ctx.adj, &hs, &ctx.part),
-                Some((out_set, in_set)) => sspmm_rows(&ctx.adj, &hs, out_set, in_set),
-            });
-            pattern = Some(hs);
-            y
+/// `x · w + b`.
+fn linear(x: &Matrix, w: &Matrix, b: &[f32]) -> Matrix {
+    let mut z = ops::matmul(x, w);
+    ops::add_bias(&mut z, b);
+    z
+}
+
+/// A layer's combination phase: the linear transform at every row of `x`
+/// (on a partial plan each one feeds some output row), its activation —
+/// MaxK straight into CBSR, the dense pre-activation released as soon as
+/// the selection has read it — and the SAGE self product at the output
+/// rows (`out_set`'s positions in an `x` compact over `in_set`, or every
+/// row). Nothing here reads the graph.
+///
+/// # Panics
+///
+/// Panics when shapes disagree or `out_set` is not a subset of `in_set`.
+#[must_use]
+pub fn combine(
+    layer: &PlanLayer<'_>,
+    x: &Matrix,
+    rows: Option<(&NodeSet, &NodeSet)>,
+    timer: &mut Option<(&mut ForwardTimer, usize)>,
+) -> Combined {
+    let h = {
+        let z = timed_lap(timer, KernelKind::DenseLinear, || {
+            linear(x, layer.neigh_weight, layer.neigh_bias)
+        });
+        match layer.activation {
+            Some(Activation::MaxK(k)) => {
+                Activated::Sparse(timed_lap(timer, KernelKind::MaxK, || {
+                    maxk_forward(&z, k).expect("k validated at model construction")
+                }))
+            }
+            Some(Activation::Relu) => {
+                Activated::Dense(timed_lap(timer, KernelKind::DenseLinear, || ops::relu(&z)))
+            }
+            None => Activated::Dense(z),
         }
-        Some(Activation::Relu) => timed_lap(&mut timer, KernelKind::SpMM, || spmm(&ops::relu(&z))),
-        None => timed_lap(&mut timer, KernelKind::SpMM, || spmm(&z)),
     };
+    let self_y = layer.self_path.map(|(w, b)| {
+        let x_out = rows.map(|(out_set, in_set)| {
+            timed_lap(timer, KernelKind::Gather, || {
+                gather_rows_at(x, positions_in(out_set, in_set).into_iter())
+            })
+        });
+        timed_lap(timer, KernelKind::DenseLinear, || {
+            linear(x_out.as_ref().unwrap_or(x), w, b)
+        })
+    });
+    Combined { h, self_y }
+}
 
-    // Where each output row sits in the input ordering (`None` on the
-    // full path, where the two coincide and nothing is gathered).
-    let out_positions = rows.map(|(out_set, in_set)| positions_in(out_set, in_set));
+/// A layer's aggregation phase over its [`combine`] output: SpGEMM over
+/// the CBSR operand or row-wise SpMM over the dense one (`rows = None`:
+/// the full kernels at every row; `Some((out_set, in_set))`: the
+/// `maxk_core::subset` kernels at `out_set`, `c` compact over `in_set`),
+/// then the SAGE self add or the GIN `(1 + ε)` residual at the output
+/// rows. The adds are timed with the aggregation kernel they follow.
+///
+/// # Panics
+///
+/// Panics when shapes disagree, when `arch` is SAGE and `c` carries no
+/// self product, or when `out_set` is not a subset of `in_set`.
+#[must_use]
+pub fn aggregate(
+    ctx: &GraphContext,
+    arch: Arch,
+    eps: f32,
+    c: &Combined,
+    rows: Option<(&NodeSet, &NodeSet)>,
+    timer: &mut Option<(&mut ForwardTimer, usize)>,
+) -> Matrix {
+    let (kind, mut y) = match &c.h {
+        Activated::Sparse(hs) => (
+            KernelKind::SSpMM,
+            timed_lap(timer, KernelKind::SSpMM, || match rows {
+                None => spgemm_forward(&ctx.adj, hs, &ctx.part),
+                Some((out_set, in_set)) => sspmm_rows(&ctx.adj, hs, out_set, in_set),
+            }),
+        ),
+        Activated::Dense(h) => (
+            KernelKind::SpMM,
+            timed_lap(timer, KernelKind::SpMM, || match rows {
+                None => spmm_rowwise(&ctx.adj, h),
+                Some((out_set, in_set)) => spmm_rows(&ctx.adj, h, out_set, in_set),
+            }),
+        ),
+    };
     match arch {
         Arch::Sage => {
-            let (w, b) = layer.self_path.expect("SAGE has a self linear");
-            let x_out = out_positions.as_ref().map(|pos| {
-                timed_lap(&mut timer, KernelKind::Gather, || {
-                    gather_rows_at(x, pos.iter().copied())
-                })
-            });
-            timed_lap(&mut timer, KernelKind::DenseLinear, || {
-                let mut self_y = ops::matmul(x_out.as_ref().unwrap_or(x), w);
-                ops::add_bias(&mut self_y, b);
-                ops::add_assign(&mut y, &self_y);
-            });
+            let self_y = c.self_y.as_ref().expect("SAGE has a self linear");
+            timed_lap(timer, kind, || ops::add_assign(&mut y, self_y));
         }
         Arch::Gin => {
-            let scale = 1.0 + layer.eps;
-            match (&layer.activation, &pattern) {
-                (Some(Activation::MaxK(_)), Some(hs)) => {
-                    timed_lap(&mut timer, KernelKind::MaxK, || {
-                        let mut d = match &out_positions {
-                            None => maxk_backward(hs),
-                            Some(pos) => scatter_pattern_rows(hs, pos),
-                        };
-                        ops::scale_assign(&mut d, scale);
-                        ops::add_assign(&mut y, &d);
-                    });
-                }
-                (activation, _) => {
-                    timed_lap(&mut timer, KernelKind::DenseLinear, || {
-                        let z_out = out_positions
-                            .as_ref()
-                            .map(|pos| gather_rows_at(&z, pos.iter().copied()));
-                        let mut h = match activation {
-                            Some(Activation::Relu) => ops::relu(z_out.as_ref().unwrap_or(&z)),
-                            _ => z_out.unwrap_or_else(|| z.clone()),
-                        };
-                        ops::scale_assign(&mut h, scale);
-                        ops::add_assign(&mut y, &h);
-                    });
-                }
-            }
+            // Where each output row sits in the input ordering (`None` on
+            // the full path, where the two coincide).
+            let out_positions = rows.map(|(out_set, in_set)| positions_in(out_set, in_set));
+            timed_lap(timer, kind, || {
+                let mut d = match (&c.h, &out_positions) {
+                    (Activated::Sparse(hs), None) => maxk_backward(hs),
+                    (Activated::Sparse(hs), Some(pos)) => scatter_pattern_rows(hs, pos),
+                    (Activated::Dense(h), None) => h.clone(),
+                    (Activated::Dense(h), Some(pos)) => gather_rows_at(h, pos.iter().copied()),
+                };
+                ops::scale_assign(&mut d, 1.0 + eps);
+                ops::add_assign(&mut y, &d);
+            });
         }
         Arch::Gcn => {}
     }
@@ -562,7 +751,50 @@ mod tests {
                 assert_eq!(part.row(1), full.row(0), "{arch:?} {act:?}");
                 assert_eq!(part.row(2), full.row(69), "{arch:?} {act:?}");
                 assert_eq!(part.row(3), full.row(13), "{arch:?} {act:?}");
+
+                // Starting at a kept layer-0 `Combined` changes no bit on
+                // either plan.
+                let layers: Vec<PlanLayer<'_>> =
+                    m.layers().iter().map(crate::Conv::plan_layer).collect();
+                let kept = combine(&layers[0], &x, None, &mut None);
+                assert_eq!(kept.bytes(), 70 * layers[0].combined_row_bytes());
+                let run = |frontier| {
+                    let input = Input::Combined(&kept);
+                    forward(m.context(), arch, &layers, input, frontier, None)
+                };
+                assert_eq!(run(None), full, "{arch:?} {act:?}");
+                let seeds = run(plan.frontier());
+                for (r, s) in [0usize, 13, 69].into_iter().enumerate() {
+                    assert_eq!(seeds.row(r), full.row(s), "{arch:?} {act:?}");
+                }
             }
+        }
+    }
+
+    #[test]
+    fn rewritten_rows_equal_a_combine_from_scratch() {
+        for (arch, act) in [
+            (Arch::Sage, Activation::MaxK(4)),
+            (Arch::Gin, Activation::Relu),
+        ] {
+            let m = model(arch, act);
+            let layer = m.layers()[0].plan_layer();
+            let mut rng = StdRng::seed_from_u64(17);
+            let mut x = Matrix::xavier(70, 8, &mut rng);
+            let mut kept = combine(&layer, &x, None, &mut None);
+            // Two rows change; only they are recomputed.
+            let rows = [41u32, 3];
+            let new_rows = Matrix::xavier(2, 8, &mut rng);
+            for (s, &r) in rows.iter().enumerate() {
+                x.row_mut(r as usize).copy_from_slice(new_rows.row(s));
+            }
+            kept.write_rows(&rows, &combine(&layer, &new_rows, None, &mut None));
+            let rebuilt = combine(&layer, &x, None, &mut None);
+            assert_eq!(kept, rebuilt, "{arch:?} {act:?}");
+            assert_eq!(
+                rebuilt.gather(&[3, 41], &[3, 41]),
+                combine(&layer, &new_rows, None, &mut None).gather(&[1, 0], &[1, 0])
+            );
         }
     }
 
@@ -677,5 +909,17 @@ mod tests {
         let e = adj.num_edges();
         let expected_full = (2 * n * 8 * 12 + e * 4) as f64 + (2 * n * 12 * 3 + e * 3) as f64;
         assert_eq!(full_cost(n, e, &costs), expected_full);
+
+        // With layer 0's product held by the caller neither plan pays its
+        // dense rows: only its aggregation is left on both sides.
+        let hoisted = [costs[0].hoisted(), costs[1]];
+        let hoisted_partial = (frontier.edge_work_at(1) * 4) as f64
+            + (frontier.level(1).len() + frontier.level(0).len()) as f64 * (12 * 3) as f64
+            + (frontier.edge_work_at(0) * 3) as f64;
+        assert_eq!(partial_cost(&frontier, &hoisted), hoisted_partial);
+        assert_eq!(
+            full_cost(n, e, &hoisted),
+            (e * 4) as f64 + (2 * n * 12 * 3 + e * 3) as f64
+        );
     }
 }

@@ -8,26 +8,146 @@
 //!
 //! **Operands are owned once.** The engine's three operands — the model
 //! weights (the [`ModelSnapshot`] itself, read through
-//! [`ModelSnapshot::plan_layer`] views), the node features and the
-//! pre-normalized [`GraphContext`] — each sit behind an `Arc`. The
-//! shards of a [`crate::ShardedEngine`] and the epochs of a
+//! [`ModelSnapshot::plan_layer`] views), the node features with what is
+//! derived from them (one crate-private `FeatureState`) and the
+//! pre-normalized [`GraphContext`] — each sit behind an `Arc`. The shards of a
+//! [`crate::ShardedEngine`] and the epochs of a
 //! [`crate::mutation::DynamicEngine`] point at one weight allocation,
-//! epochs share the feature matrix until a write touches it, and cloning
-//! an engine is three refcount bumps. The snapshot is validated where it
-//! enters ([`InferenceEngine::from_snapshot`] and the sharded/dynamic
-//! constructors), not per engine built from it.
+//! epochs share the feature state until a write touches it, and cloning
+//! an engine is three refcount bumps. Snapshot and features are validated
+//! where they enter ([`InferenceEngine::from_snapshot`] and the
+//! sharded/dynamic constructors), not per engine built from them.
+//!
+//! **An engine is immutable.** Its weights, features and graph never
+//! change for its lifetime — a mutation is a new epoch, which is a new
+//! engine — so anything that depends on weights and features alone is
+//! computed once, not per batch. Layer 0's combination phase
+//! (`X·W + b`, its MaxK → CBSR, the SAGE self product: two thirds of a
+//! forward at 512-wide inputs) is exactly that, and the feature state
+//! keeps it whenever it is small beside the features (`HOIST_MIN_SHRINK`:
+//! at most a quarter of their bytes); every forward then starts at layer
+//! 0's aggregation. Rows are independent, so answers are bitwise what a
+//! forward from the raw features gives.
 
 use crate::telemetry::Telemetry;
 use crate::ServeError;
 use maxk_graph::{Csr, Frontier, NodeSet};
 use maxk_nn::plan::{
-    eval_layer, partial_forward, ForwardPlan, ForwardTimer, LayerCost, PlanConfig, PlanLayer,
+    self, combine, Combined, ForwardPlan, ForwardTimer, Input, LayerCost, PlanConfig, PlanLayer,
 };
 use maxk_nn::snapshot::ModelSnapshot;
 use maxk_nn::{GraphContext, GraphVersion, SnapshotGeneration};
 use maxk_tensor::Matrix;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Layer 0's [`Combined`] is kept beside the features only when the
+/// features are at least this many times its size. The product trades
+/// resident memory for per-batch work, and the trade is only lopsided at
+/// wide inputs: over 512 floats a SAGE MaxK(16) × 64 row derives 336 B
+/// from 2 048 B (kept: +16 % of the features for −2/3 of every forward),
+/// over 64 floats the same 336 B from 256 B would more than double the
+/// feature footprint to skip a matmul that is no longer the biggest bar.
+const HOIST_MIN_SHRINK: usize = 4;
+
+/// The node features and what is derived from them and the weights alone:
+/// the one owner of "what a feature write changes". Built where features
+/// enter an engine, shared by every engine, shard slice or epoch that
+/// serves the same rows, copied (once) by the first write after a share.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct FeatureState {
+    x: Matrix,
+    /// Layer 0's combination phase over every row of `x`, when
+    /// [`HOIST_MIN_SHRINK`] keeps it.
+    combined: Option<Combined>,
+}
+
+impl FeatureState {
+    /// Validates `x` against `model` and derives what the engine keeps.
+    ///
+    /// # Errors
+    ///
+    /// See [`FeatureState::derive`].
+    pub(crate) fn new(model: &ModelSnapshot, x: Matrix) -> Result<Self, ServeError> {
+        let combined = Self::derive(model, &x)?;
+        Ok(FeatureState { x, combined })
+    }
+
+    /// The gate features pass on their way into serving, and layer 0's
+    /// [`Combined`] over all of them when it is worth keeping.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::BadModel`] when the width is not the model's input
+    /// dimension; [`ServeError::NonFiniteFeature`] naming the first row
+    /// with a NaN or infinite value (top-k selection panics on NaN, and
+    /// would now do so in a constructor).
+    pub(crate) fn derive(
+        model: &ModelSnapshot,
+        x: &Matrix,
+    ) -> Result<Option<Combined>, ServeError> {
+        if x.cols() != model.config.in_dim {
+            return Err(ServeError::BadModel(format!(
+                "feature dim {} != model in_dim {}",
+                x.cols(),
+                model.config.in_dim
+            )));
+        }
+        if let Some(node) = (0..x.rows()).find(|&r| !x.row(r).iter().all(|v| v.is_finite())) {
+            return Err(ServeError::NonFiniteFeature { node: node as u32 });
+        }
+        let layer = model.plan_layer(0);
+        let keep = layer.combined_row_bytes() * HOIST_MIN_SHRINK <= x.cols() * 4;
+        Ok(keep.then(|| combine(&layer, x, None, &mut None)))
+    }
+
+    /// Rows `ids` of a global matrix and of what was derived from it, in
+    /// that order — a shard's slice. Nothing is recomputed.
+    pub(crate) fn slice(x: &Matrix, combined: Option<&Combined>, ids: &[u32]) -> Self {
+        FeatureState {
+            x: gather_rows(x, ids),
+            combined: combined.map(|c| c.gather(ids, ids)),
+        }
+    }
+
+    /// Overwrites feature rows (validated by the caller) and recomputes
+    /// exactly those rows of the kept product.
+    pub(crate) fn write_rows(&mut self, model: &ModelSnapshot, writes: &[(u32, &[f32])]) {
+        for &(node, values) in writes {
+            self.x.row_mut(node as usize).copy_from_slice(values);
+        }
+        if let Some(kept) = &mut self.combined {
+            let nodes: Vec<u32> = writes.iter().map(|&(node, _)| node).collect();
+            let patch = gather_rows(&self.x, &nodes);
+            kept.write_rows(
+                &nodes,
+                &combine(&model.plan_layer(0), &patch, None, &mut None),
+            );
+        }
+    }
+
+    /// The feature matrix.
+    pub(crate) fn x(&self) -> &Matrix {
+        &self.x
+    }
+
+    /// Where a forward over these features starts.
+    fn input(&self) -> Input<'_> {
+        match &self.combined {
+            Some(kept) => Input::Combined(kept),
+            None => Input::Features(&self.x),
+        }
+    }
+}
+
+/// Rows `ids` of `m`, compact in that order.
+fn gather_rows(m: &Matrix, ids: &[u32]) -> Matrix {
+    let mut out = Matrix::zeros(ids.len(), m.cols());
+    for (r, &id) in ids.iter().enumerate() {
+        out.row_mut(r).copy_from_slice(m.row(id as usize));
+    }
+    out
+}
 
 /// Logits produced for one batch, either full-graph or seed-restricted.
 ///
@@ -121,7 +241,7 @@ pub struct InferenceEngine {
     /// batch on the serving hot path.
     layer_costs: Vec<LayerCost>,
     ctx: Arc<GraphContext>,
-    features: Arc<Matrix>,
+    features: Arc<FeatureState>,
     plan_cfg: PlanConfig,
 }
 
@@ -132,7 +252,8 @@ impl InferenceEngine {
     /// # Errors
     ///
     /// [`ServeError::BadModel`] when the snapshot is internally
-    /// inconsistent or `features` does not match the graph/model shape.
+    /// inconsistent or `features` does not match the graph/model shape;
+    /// [`ServeError::NonFiniteFeature`] when a feature is NaN or infinite.
     pub fn from_snapshot(
         snapshot: &ModelSnapshot,
         graph: &Csr,
@@ -146,43 +267,47 @@ impl InferenceEngine {
             )));
         }
         let model = validated(snapshot)?;
+        let features = FeatureState::new(&model, features)?;
         let ctx = GraphContext::build(graph, model.config.arch, model.config.eg_width);
         Self::with_context(model, Arc::new(ctx), Arc::new(features))
     }
 
     /// Builds an engine over operands that already exist — the shared
     /// weights, a context assembled elsewhere (a shard's slice, a dynamic
-    /// graph's next epoch) and a possibly shared feature matrix. Nothing
-    /// is copied.
+    /// graph's next epoch) and a possibly shared feature state. Nothing
+    /// is copied or computed.
     ///
-    /// `model` must come from [`validated`]: that gate runs once where a
-    /// snapshot enters, not per shard or per epoch.
+    /// `model` must come from [`validated`] and `features` from
+    /// [`FeatureState`]'s constructors over that model: those gates run
+    /// once where snapshot and features enter, not per shard or per epoch.
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadModel`] when `features` does not match the model's
-    /// input dimension or the context's node count.
+    /// [`ServeError::BadModel`] when `features` does not match the
+    /// context's node count.
     pub(crate) fn with_context(
         model: Arc<ModelSnapshot>,
         ctx: Arc<GraphContext>,
-        features: Arc<Matrix>,
+        features: Arc<FeatureState>,
     ) -> Result<Self, ServeError> {
-        if features.cols() != model.config.in_dim {
-            return Err(ServeError::BadModel(format!(
-                "feature dim {} != model in_dim {}",
-                features.cols(),
-                model.config.in_dim
-            )));
-        }
-        if features.rows() != ctx.adj.num_nodes() {
+        if features.x.rows() != ctx.adj.num_nodes() {
             return Err(ServeError::BadModel(format!(
                 "feature rows {} != context nodes {}",
-                features.rows(),
+                features.x.rows(),
                 ctx.adj.num_nodes()
             )));
         }
         let layer_costs = (0..model.layers.len())
-            .map(|l| model.plan_layer(l).cost())
+            .map(|l| {
+                let cost = model.plan_layer(l).cost();
+                // No plan computes a dense row of a layer whose product
+                // the feature state holds.
+                if l == 0 && features.combined.is_some() {
+                    cost.hoisted()
+                } else {
+                    cost
+                }
+            })
             .collect();
         Ok(InferenceEngine {
             model,
@@ -207,7 +332,7 @@ impl InferenceEngine {
 
     /// Number of nodes served by this engine.
     pub fn num_nodes(&self) -> usize {
-        self.features.rows()
+        self.features.x.rows()
     }
 
     /// Output (logit) dimension.
@@ -238,44 +363,39 @@ impl InferenceEngine {
     /// gathers its seed rows from this one result, which is what makes
     /// request coalescing pay off.
     ///
-    /// The engine itself never memoizes this result: each call answers
-    /// against the *current* feature/weight state (the ROADMAP's
-    /// hot-snapshot-reload and feature-staleness items mutate both).
-    /// Reuse across batches is the job of the opt-in seed-level
-    /// [`crate::LogitCache`], whose `(SnapshotGeneration, GraphVersion,
-    /// seed)` keys make stale rows unreachable the moment either
-    /// identity changes — `serve_bench`'s batched-vs-unbatched
-    /// comparison still runs uncached, measuring how well coalescing
-    /// amortizes a mandatory recomputation.
+    /// Each call recomputes everything that depends on the graph — the
+    /// aggregations and every layer above the first — and nothing that
+    /// does not: layer 0's combination phase comes from the engine's
+    /// feature state when that keeps it (see the module docs). The
+    /// result itself is not memoized; reuse of logit rows across batches
+    /// is the job of the opt-in seed-level [`crate::LogitCache`], whose
+    /// `(SnapshotGeneration, GraphVersion, seed)` keys make stale rows
+    /// unreachable the moment either identity changes.
     #[must_use]
     pub fn forward_all(&self) -> Matrix {
         self.forward(None, None)
     }
 
-    /// The eval forward both plans run: every layer through
-    /// [`eval_layer`], over all rows (`frontier = None`; the result is
-    /// full-graph) or over the frontier's row subsets (the result is
-    /// compact over `frontier.seeds()`). When `timer` is set every kernel
-    /// call lands in it as a `(layer, kernel, duration)` lap.
-    fn forward(&self, frontier: Option<&Frontier>, mut timer: Option<&mut ForwardTimer>) -> Matrix {
-        let (model, arch) = (&*self.model, self.model.config.arch);
-        if let Some(frontier) = frontier {
-            let layers: Vec<PlanLayer<'_>> = (0..model.layers.len())
-                .map(|l| model.plan_layer(l))
-                .collect();
-            return partial_forward(&self.ctx, arch, &layers, frontier, &self.features, timer);
-        }
-        // A validated snapshot has >= 2 layers, so the first-layer borrow
-        // avoids cloning the full feature matrix per forward.
-        let mut layer = |l: usize, x: &Matrix| {
-            let slot = timer.as_deref_mut().map(|t| (t, l));
-            eval_layer(&self.ctx, arch, &model.plan_layer(l), x, None, slot)
-        };
-        let mut h = layer(0, &self.features);
-        for l in 1..model.layers.len() {
-            h = layer(l, &h);
-        }
-        h
+    /// The eval forward both plans run ([`plan::forward`]): over all rows
+    /// (`frontier = None`; the result is full-graph) or over the
+    /// frontier's row subsets (the result is compact over
+    /// `frontier.seeds()`), from the kept layer-0 product or the raw
+    /// features. When `timer` is set every kernel call lands in it as a
+    /// `(layer, kernel, duration)` lap.
+    fn forward(&self, frontier: Option<&Frontier>, timer: Option<&mut ForwardTimer>) -> Matrix {
+        let model = &*self.model;
+        let layers: Vec<PlanLayer<'_>> = (0..model.layers.len())
+            .map(|l| model.plan_layer(l))
+            .collect();
+        let input = self.features.input();
+        plan::forward(
+            &self.ctx,
+            model.config.arch,
+            &layers,
+            input,
+            frontier,
+            timer,
+        )
     }
 
     /// Per-layer cost shapes feeding the full-vs-partial heuristic (see
@@ -301,7 +421,8 @@ impl InferenceEngine {
 
     /// Executes a plan: one full forward, or a partial forward over the
     /// plan's frontier (every layer on the frontier's row subsets via the
-    /// `maxk_core::subset` kernels). Either way the returned
+    /// `maxk_core::subset` kernels; a kept layer-0 product is gathered at
+    /// the frontier's rows instead of the features). Either way the returned
     /// [`BatchLogits`] gathers bitwise-identical rows for every seed the
     /// plan covers. When `timer` is set, every kernel call lands in it as
     /// a per-layer lap, whichever path the plan takes.
@@ -622,23 +743,41 @@ mod tests {
     use rand::SeedableRng;
 
     impl InferenceEngine {
-        /// The weight and feature allocations, for the sharing tests here
-        /// and in `router`/`mutation`.
-        pub(crate) fn operands(&self) -> (&Arc<ModelSnapshot>, &Arc<Matrix>) {
+        /// The weight and feature-state allocations, for the sharing
+        /// tests here and in `router`/`mutation`.
+        pub(crate) fn operands(&self) -> (&Arc<ModelSnapshot>, &Arc<FeatureState>) {
             (&self.model, &self.features)
         }
     }
 
+    /// The two sides of [`HOIST_MIN_SHRINK`]: `(in_dim, hidden_dim, k)`
+    /// with a layer-0 product bigger than the features (8 → 12, computed
+    /// per batch) and one at most a quarter of them for every
+    /// arch × activation (96 → 8: SAGE + ReLU derives 64 B from 384 B).
+    const SHAPES: [(usize, usize, usize); 2] = [(8, 12, 4), (96, 8, 2)];
+
     fn setup(arch: Arch, act: Activation) -> (Csr, Matrix, GnnModel) {
+        setup_at(arch, act, SHAPES[0])
+    }
+
+    fn setup_at(
+        arch: Arch,
+        act: Activation,
+        (in_dim, hidden, k): (usize, usize, usize),
+    ) -> (Csr, Matrix, GnnModel) {
         let graph = generate::chung_lu_power_law(50, 5.0, 2.3, 2)
             .to_csr()
             .unwrap();
-        let mut cfg = ModelConfig::new(arch, act, 8, 3);
-        cfg.hidden_dim = 12;
+        let act = match act {
+            Activation::MaxK(_) => Activation::MaxK(k),
+            other => other,
+        };
+        let mut cfg = ModelConfig::new(arch, act, in_dim, 3);
+        cfg.hidden_dim = hidden;
         cfg.dropout = 0.0;
         let mut rng = StdRng::seed_from_u64(4);
         let model = GnnModel::new(cfg, &graph, &mut rng);
-        let x = Matrix::xavier(50, 8, &mut rng);
+        let x = Matrix::xavier(50, in_dim, &mut rng);
         (graph, x, model)
     }
 
@@ -646,14 +785,46 @@ mod tests {
     fn engine_matches_model_eval_forward_bitwise() {
         for arch in [Arch::Gcn, Arch::Sage, Arch::Gin] {
             for act in [Activation::Relu, Activation::MaxK(4)] {
-                let (graph, x, mut model) = setup(arch, act);
-                let snap = ModelSnapshot::capture(&model);
-                let engine = InferenceEngine::from_snapshot(&snap, &graph, x.clone()).unwrap();
-                let mut rng = StdRng::seed_from_u64(0);
-                let expected = model.forward(&x, false, &mut rng);
-                assert_eq!(engine.forward_all(), expected, "{arch:?} {act:?}");
+                for (shape, hoisted) in SHAPES.into_iter().zip([false, true]) {
+                    let (graph, x, mut model) = setup_at(arch, act, shape);
+                    let snap = ModelSnapshot::capture(&model);
+                    let engine = InferenceEngine::from_snapshot(&snap, &graph, x.clone()).unwrap();
+                    let planned = engine.layer_costs()[0].linear_hoisted;
+                    assert_eq!(planned, hoisted, "{arch:?} {act:?} {shape:?}");
+                    let mut rng = StdRng::seed_from_u64(0);
+                    let expected = model.forward(&x, false, &mut rng);
+                    assert_eq!(engine.forward_all(), expected, "{arch:?} {act:?} {shape:?}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn quarter_rule_keeps_the_product_only_at_wide_inputs() {
+        // SAGE MaxK(4) × 12: 4·5 B of CBSR + 48 B of self product = 68 B a
+        // row, so features from 272 B (68 floats) a row up keep it.
+        for (in_dim, kept) in [(67usize, false), (68, true)] {
+            let (graph, x, model) = setup_at(Arch::Sage, Activation::MaxK(4), (in_dim, 12, 4));
+            let snap = ModelSnapshot::capture(&model);
+            let engine = InferenceEngine::from_snapshot(&snap, &graph, x).unwrap();
+            assert_eq!(
+                engine.layer_costs()[0].linear_hoisted,
+                kept,
+                "in_dim {in_dim}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_features_rejected_at_construction() {
+        let (graph, mut x, model) = setup_at(Arch::Gcn, Activation::MaxK(4), SHAPES[1]);
+        let snap = ModelSnapshot::capture(&model);
+        x.set(31, 2, f32::NAN);
+        x.set(44, 0, f32::INFINITY);
+        assert!(matches!(
+            InferenceEngine::from_snapshot(&snap, &graph, x),
+            Err(ServeError::NonFiniteFeature { node: 31 })
+        ));
     }
 
     #[test]
@@ -728,13 +899,15 @@ mod tests {
     fn partial_forward_bitwise_matches_full_all_combos() {
         for arch in [Arch::Gcn, Arch::Sage, Arch::Gin] {
             for act in [Activation::Relu, Activation::MaxK(4)] {
-                let (graph, x, model) = setup(arch, act);
-                let snap = ModelSnapshot::capture(&model);
-                let engine = InferenceEngine::from_snapshot(&snap, &graph, x).unwrap();
-                let seeds = [9u32, 0, 49, 9];
-                let full = engine.logits_full(&seeds).unwrap();
-                let partial = engine.logits_partial(&seeds).unwrap();
-                assert_eq!(partial, full, "{arch:?} {act:?}");
+                for shape in SHAPES {
+                    let (graph, x, model) = setup_at(arch, act, shape);
+                    let snap = ModelSnapshot::capture(&model);
+                    let engine = InferenceEngine::from_snapshot(&snap, &graph, x).unwrap();
+                    let seeds = [9u32, 0, 49, 9];
+                    let full = engine.logits_full(&seeds).unwrap();
+                    let partial = engine.logits_partial(&seeds).unwrap();
+                    assert_eq!(partial, full, "{arch:?} {act:?} {shape:?}");
+                }
             }
         }
     }
@@ -788,7 +961,7 @@ mod tests {
         let second = InferenceEngine::with_context(
             Arc::clone(&first.model),
             Arc::clone(&first.ctx),
-            Arc::new(x),
+            Arc::new(FeatureState::new(&first.model, x).unwrap()),
         )
         .unwrap();
         assert_eq!(first.forward_all(), second.forward_all());

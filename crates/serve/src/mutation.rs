@@ -16,13 +16,17 @@
 //! 3. **Epoch swap** — operands are owned once, and an epoch shares
 //!    what the batch did not change. The next epoch's [`InferenceEngine`]
 //!    points at the same weight allocation as every epoch before it and
-//!    at the same feature matrix unless the batch wrote a feature row
-//!    (then the matrix is copied once, on write, and readers still
-//!    holding the previous epoch keep the old rows); only the graph
-//!    context is assembled anew, around the spliced operand. The epoch
-//!    is built once and moved behind the `RwLock`; queries in flight
-//!    finish against the old epoch, new batches pick up the new one.
-//!    Applies are serialized, so epochs are strictly monotone;
+//!    at the same feature state — the matrix and, at wide inputs, layer
+//!    0's combination phase derived from it (see [`crate::engine`]) —
+//!    unless the batch wrote a feature row. Then the state is copied
+//!    once, on write, the written rows of the kept product (and only
+//!    they) are recomputed inside that same copy-on-write, and readers
+//!    still holding the previous epoch keep the old rows and the old
+//!    product. Only the graph context is assembled anew, around the
+//!    spliced operand. The epoch is built once and moved behind the
+//!    `RwLock`; queries in flight finish against the old epoch, new
+//!    batches pick up the new one. Applies are serialized, so epochs are
+//!    strictly monotone;
 //! 4. **Dirty-cone invalidation** — under
 //!    [`InvalidationStrategy::DirtyCone`], the mutation's reverse L-hop
 //!    dependency cone (via [`maxk_graph::Frontier`]) is computed and
@@ -64,7 +68,7 @@
 //! work, noted in ARCHITECTURE.md.
 
 use crate::cache::LogitCache;
-use crate::engine::{validated, BatchEngine, BatchOutcome, InferenceEngine};
+use crate::engine::{validated, BatchEngine, BatchOutcome, FeatureState, InferenceEngine};
 use crate::exec::{self, Executor, StdThreadExecutor, Worker};
 use crate::telemetry::Telemetry;
 use crate::ServeError;
@@ -179,13 +183,13 @@ struct EpochState {
 }
 
 /// The mutable interior: the incrementally maintained graph and the live
-/// feature matrix, shared with every epoch published since the last
+/// feature state, shared with every epoch published since the last
 /// feature write. One mutex serializes applies, making epochs strictly
 /// monotone.
 #[derive(Debug)]
 struct Core {
     graph: DynamicGraph,
-    features: Arc<Matrix>,
+    features: Arc<FeatureState>,
     epoch: u64,
 }
 
@@ -212,7 +216,8 @@ impl DynamicEngine {
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadModel`] on shape or consistency mismatches —
+    /// [`ServeError::BadModel`] on shape or consistency mismatches,
+    /// [`ServeError::NonFiniteFeature`] on a NaN or infinite feature —
     /// the same gates as [`InferenceEngine::from_snapshot`].
     pub fn new(
         snapshot: &ModelSnapshot,
@@ -224,7 +229,7 @@ impl DynamicEngine {
         let (aggregator, self_loops) = model.config.arch.aggregation();
         let graph = DynamicGraph::from_csr(base, aggregator, self_loops)
             .map_err(|e| ServeError::BadModel(e.to_string()))?;
-        let features = Arc::new(features);
+        let features = Arc::new(FeatureState::new(&model, features)?);
         let engine = Self::epoch_engine(&model, &graph, &features, GraphVersion::mint())?;
         Ok(DynamicEngine {
             state: RwLock::new(Arc::new(EpochState { epoch: 0, engine })),
@@ -249,7 +254,7 @@ impl DynamicEngine {
     fn epoch_engine(
         model: &Arc<ModelSnapshot>,
         graph: &DynamicGraph,
-        features: &Arc<Matrix>,
+        features: &Arc<FeatureState>,
         version: GraphVersion,
     ) -> Result<InferenceEngine, ServeError> {
         let adj = graph.operand().clone();
@@ -290,7 +295,7 @@ impl DynamicEngine {
 
     /// A clone of the current feature matrix.
     pub fn current_features(&self) -> Matrix {
-        Matrix::clone(&self.lock_core().features)
+        self.lock_core().features.x().clone()
     }
 
     /// Applies one mutation batch: incremental graph/feature update, new
@@ -346,12 +351,10 @@ impl DynamicEngine {
             other => ServeError::BadModel(other.to_string()),
         })?;
         if !writes.is_empty() {
-            // Copy on write: the published epochs keep the matrix they
+            // Copy on write: the published epochs keep the state they
             // were built over; an edge-only batch copies no feature row.
-            let features = Arc::make_mut(&mut core.features);
-            for &(node, values) in &writes {
-                features.row_mut(node as usize).copy_from_slice(values);
-            }
+            // Only the written rows of a kept layer-0 product are redone.
+            Arc::make_mut(&mut core.features).write_rows(&self.model, &writes);
         }
 
         self.stats
@@ -584,17 +587,30 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// `(in_dim, hidden_dim, k)` on either side of the engine's quarter
+    /// rule: 6 → 12 recomputes layer 0's combination phase per batch,
+    /// 96 → 8 keeps it in the feature state for all three archs.
+    const NARROW: (usize, usize, usize) = (6, 12, 4);
+    const WIDE: (usize, usize, usize) = (96, 8, 2);
+
     fn setup(arch: Arch) -> (ModelSnapshot, Csr, Matrix) {
+        setup_at(arch, NARROW)
+    }
+
+    fn setup_at(
+        arch: Arch,
+        (in_dim, hidden, k): (usize, usize, usize),
+    ) -> (ModelSnapshot, Csr, Matrix) {
         let graph = generate::chung_lu_power_law(50, 4.0, 2.3, 9)
             .to_csr()
             .unwrap();
-        let mut cfg = ModelConfig::new(arch, Activation::MaxK(4), 6, 3);
-        cfg.hidden_dim = 12;
+        let mut cfg = ModelConfig::new(arch, Activation::MaxK(k), in_dim, 3);
+        cfg.hidden_dim = hidden;
         cfg.dropout = 0.0;
         let mut rng = StdRng::seed_from_u64(11);
         let model = GnnModel::new(cfg, &graph, &mut rng);
         let snapshot = ModelSnapshot::capture(&model);
-        let features = Matrix::xavier(50, 6, &mut rng);
+        let features = Matrix::xavier(50, in_dim, &mut rng);
         (snapshot, graph, features)
     }
 
@@ -625,91 +641,136 @@ mod tests {
     #[test]
     fn mutations_match_from_scratch_rebuild() {
         for arch in [Arch::Gcn, Arch::Sage, Arch::Gin] {
-            let (snapshot, graph, features) = setup(arch);
-            let dynamic =
-                DynamicEngine::new(&snapshot, &graph, features, InvalidationStrategy::DirtyCone)
-                    .unwrap();
-            let report = dynamic
-                .apply(&[
-                    Mutation::InsertEdge { u: 0, v: 49 },
-                    Mutation::DeleteEdge { u: 0, v: 49 },
-                    Mutation::InsertEdge { u: 3, v: 17 },
-                    Mutation::WriteFeature {
-                        node: 5,
-                        values: vec![0.25; 6],
-                    },
-                ])
+            for shape in [NARROW, WIDE] {
+                let (snapshot, graph, features) = setup_at(arch, shape);
+                let dynamic = DynamicEngine::new(
+                    &snapshot,
+                    &graph,
+                    features,
+                    InvalidationStrategy::DirtyCone,
+                )
                 .unwrap();
-            assert_eq!(report.epoch, 1);
-            assert_eq!(report.feature_writes, 1);
-            assert!(report.cone_nodes > 0);
-            let reference = rebuilt(
-                &snapshot,
-                &dynamic.current_graph(),
-                dynamic.current_features(),
-            );
-            assert_eq!(
-                dynamic.forward_all(),
-                reference.forward_all(),
-                "{arch:?} post-mutation logits differ from rebuild"
-            );
+                let costs = dynamic.read_state().engine.layer_costs().to_vec();
+                assert_eq!(costs[0].linear_hoisted, shape == WIDE);
+                let report = dynamic
+                    .apply(&[
+                        Mutation::InsertEdge { u: 0, v: 49 },
+                        Mutation::DeleteEdge { u: 0, v: 49 },
+                        Mutation::InsertEdge { u: 3, v: 17 },
+                        Mutation::WriteFeature {
+                            node: 5,
+                            values: vec![0.25; shape.0],
+                        },
+                    ])
+                    .unwrap();
+                assert_eq!(report.epoch, 1);
+                assert_eq!(report.feature_writes, 1);
+                assert!(report.cone_nodes > 0);
+                let reference = rebuilt(
+                    &snapshot,
+                    &dynamic.current_graph(),
+                    dynamic.current_features(),
+                );
+                assert_eq!(
+                    dynamic.forward_all(),
+                    reference.forward_all(),
+                    "{arch:?} {shape:?} post-mutation logits differ from rebuild"
+                );
+                // The rewritten rows of a kept product are the rows of one
+                // derived from scratch.
+                assert_eq!(
+                    dynamic.read_state().engine.operands().1,
+                    reference.operands().1
+                );
+            }
         }
     }
 
     #[test]
     fn edge_only_batches_share_weights_and_features_with_epoch_zero() {
-        let (snapshot, graph, features) = setup(Arch::Sage);
-        let dynamic =
-            DynamicEngine::new(&snapshot, &graph, features, InvalidationStrategy::DirtyCone)
-                .unwrap();
-        let epoch0 = dynamic.read_state();
-        for u in 0..4u32 {
-            // Toggle {u, 49 - u}: every batch has a net effect.
-            let v = 49 - u;
-            let toggle = if graph.get(u as usize, v).is_some() {
-                Mutation::DeleteEdge { u, v }
-            } else {
-                Mutation::InsertEdge { u, v }
-            };
-            dynamic.apply(&[toggle]).unwrap();
+        for shape in [NARROW, WIDE] {
+            let (snapshot, graph, features) = setup_at(Arch::Sage, shape);
+            let dynamic =
+                DynamicEngine::new(&snapshot, &graph, features, InvalidationStrategy::DirtyCone)
+                    .unwrap();
+            let epoch0 = dynamic.read_state();
+            for u in 0..4u32 {
+                // Toggle {u, 49 - u}: every batch has a net effect.
+                let v = 49 - u;
+                let toggle = if graph.get(u as usize, v).is_some() {
+                    Mutation::DeleteEdge { u, v }
+                } else {
+                    Mutation::InsertEdge { u, v }
+                };
+                dynamic.apply(&[toggle]).unwrap();
+            }
+            let served = dynamic.read_state();
+            assert_eq!(served.epoch, 4);
+            let (w0, x0) = epoch0.engine.operands();
+            let (w, x) = served.engine.operands();
+            assert!(Arc::ptr_eq(w0, w), "weights re-materialised");
+            assert!(
+                Arc::ptr_eq(x0, x),
+                "edge-only batches copied the feature state"
+            );
+            assert!(Arc::ptr_eq(x, &dynamic.lock_core().features));
         }
-        let served = dynamic.read_state();
-        assert_eq!(served.epoch, 4);
-        let (w0, x0) = epoch0.engine.operands();
-        let (w, x) = served.engine.operands();
-        assert!(Arc::ptr_eq(w0, w), "weights re-materialised");
-        assert!(Arc::ptr_eq(x0, x), "edge-only batches copied features");
-        assert!(Arc::ptr_eq(x, &dynamic.lock_core().features));
     }
 
     #[test]
     fn feature_write_copies_features_once_and_old_epoch_keeps_its_rows() {
-        let (snapshot, graph, features) = setup(Arch::Gcn);
-        let dynamic =
-            DynamicEngine::new(&snapshot, &graph, features, InvalidationStrategy::DirtyCone)
+        for shape in [NARROW, WIDE] {
+            let (snapshot, graph, features) = setup_at(Arch::Gcn, shape);
+            let dynamic =
+                DynamicEngine::new(&snapshot, &graph, features, InvalidationStrategy::DirtyCone)
+                    .unwrap();
+            let before = dynamic.read_state();
+            let logits_before = before.engine.forward_all();
+            let written = vec![0.75; shape.0];
+            dynamic
+                .apply(&[
+                    Mutation::WriteFeature {
+                        node: 5,
+                        values: vec![0.5; shape.0],
+                    },
+                    Mutation::WriteFeature {
+                        node: 5,
+                        values: written.clone(),
+                    },
+                ])
                 .unwrap();
-        let before = dynamic.read_state();
-        let logits_before = before.engine.forward_all();
-        dynamic
-            .apply(&[Mutation::WriteFeature {
-                node: 5,
-                values: vec![0.75; 6],
-            }])
-            .unwrap();
-        let after = dynamic.read_state();
-        assert!(Arc::ptr_eq(
-            before.engine.operands().0,
-            after.engine.operands().0
+            let after = dynamic.read_state();
+            assert!(Arc::ptr_eq(
+                before.engine.operands().0,
+                after.engine.operands().0
+            ));
+            assert!(!Arc::ptr_eq(
+                before.engine.operands().1,
+                after.engine.operands().1
+            ));
+            assert!(Arc::ptr_eq(
+                after.engine.operands().1,
+                &dynamic.lock_core().features
+            ));
+            // The handle taken before the write still answers pre-write.
+            assert_eq!(before.engine.forward_all(), logits_before);
+            assert_ne!(after.engine.forward_all(), logits_before);
+            assert_eq!(after.engine.operands().1.x().row(5), written);
+            assert_ne!(before.engine.operands().1.x().row(5), written);
+            // Two writes to one row in a batch: the last one is served.
+            let reference = rebuilt(&snapshot, &graph, dynamic.current_features());
+            assert_eq!(after.engine.forward_all(), reference.forward_all());
+        }
+    }
+
+    #[test]
+    fn non_finite_features_rejected_at_construction() {
+        let (snapshot, graph, mut features) = setup(Arch::Sage);
+        features.set(12, 3, f32::NEG_INFINITY);
+        assert!(matches!(
+            DynamicEngine::new(&snapshot, &graph, features, InvalidationStrategy::DirtyCone),
+            Err(ServeError::NonFiniteFeature { node: 12 })
         ));
-        assert!(!Arc::ptr_eq(
-            before.engine.operands().1,
-            after.engine.operands().1
-        ));
-        // The handle taken before the write still answers pre-write.
-        assert_eq!(before.engine.forward_all(), logits_before);
-        assert_ne!(after.engine.forward_all(), logits_before);
-        assert_eq!(after.engine.operands().1.row(5), [0.75; 6]);
-        assert_ne!(before.engine.operands().1.row(5), [0.75; 6]);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! API as the single engine.
 
 use crate::engine::{
-    check_seeds, validated, BatchEngine, BatchLogits, BatchOutcome, InferenceEngine,
+    check_seeds, validated, BatchEngine, BatchLogits, BatchOutcome, FeatureState, InferenceEngine,
 };
 use crate::exec::{Executor, StdThreadExecutor};
 use crate::telemetry::Telemetry;
@@ -130,14 +130,19 @@ impl ShardedEngine {
     ///
     /// The global graph is normalized **once** (exactly as the unsharded
     /// engine would), then each shard extracts its halo-augmented slice
-    /// of the normalized operand and of `features`; the global context
-    /// and feature matrix are dropped before this returns, so the
-    /// resident state is per-shard only.
+    /// of the normalized operand and of `features`. What an engine
+    /// derives from its features (layer 0's combination phase, see
+    /// [`crate::engine`]) is likewise computed **once**, on the global
+    /// matrix, and each shard takes its rows of it — owned and ghost
+    /// alike, none recomputed. The global context and derived operand are
+    /// dropped before this returns, so the resident state is per-shard
+    /// only.
     ///
     /// # Errors
     ///
     /// [`ServeError::BadModel`] on snapshot/feature/graph inconsistencies
-    /// or a shard count the graph cannot satisfy.
+    /// or a shard count the graph cannot satisfy;
+    /// [`ServeError::NonFiniteFeature`] when a feature is NaN or infinite.
     pub fn from_snapshot(
         snapshot: &ModelSnapshot,
         graph: &Csr,
@@ -160,6 +165,7 @@ impl ShardedEngine {
         }
         // Validated and copied once; every shard engine shares the weights.
         let model = validated(snapshot)?;
+        let combined = FeatureState::derive(&model, features)?;
         let mcfg = &model.config;
         // Only the normalized operand is needed globally — the transpose
         // and Edge-Group partition are built per shard on the (smaller)
@@ -175,12 +181,7 @@ impl ShardedEngine {
         let mut slots = Vec::with_capacity(shards.len());
         for shard in shards {
             let (owned, local, sub_adj) = shard.into_parts();
-            let mut local_features = Matrix::zeros(local.len(), features.cols());
-            for (l, &g) in local.ids().iter().enumerate() {
-                local_features
-                    .row_mut(l)
-                    .copy_from_slice(features.row(g as usize));
-            }
+            let local_features = FeatureState::slice(features, combined.as_ref(), local.ids());
             // The sub-adjacency is a row slice of the global normalized
             // operand, so the context is assembled around it as is.
             let ctx = GraphContext::from_normalized(sub_adj, mcfg.eg_width, graph_version);
@@ -381,15 +382,24 @@ mod tests {
     use rand::SeedableRng;
 
     fn setup(arch: Arch, act: Activation) -> (Csr, Matrix, ModelSnapshot) {
+        setup_at(arch, act, 6, 12)
+    }
+
+    fn setup_at(
+        arch: Arch,
+        act: Activation,
+        in_dim: usize,
+        hidden: usize,
+    ) -> (Csr, Matrix, ModelSnapshot) {
         let graph = generate::chung_lu_power_law(80, 5.0, 2.3, 11)
             .to_csr()
             .unwrap();
-        let mut cfg = ModelConfig::new(arch, act, 6, 3);
-        cfg.hidden_dim = 12;
+        let mut cfg = ModelConfig::new(arch, act, in_dim, 3);
+        cfg.hidden_dim = hidden;
         cfg.dropout = 0.0;
         let mut rng = StdRng::seed_from_u64(21);
         let model = GnnModel::new(cfg, &graph, &mut rng);
-        let x = Matrix::xavier(80, 6, &mut rng);
+        let x = Matrix::xavier(80, in_dim, &mut rng);
         (graph, x, ModelSnapshot::capture(&model))
     }
 
@@ -397,30 +407,64 @@ mod tests {
     fn sharded_logits_bitwise_match_single_engine_all_combos() {
         for arch in [Arch::Gcn, Arch::Sage, Arch::Gin] {
             for act in [Activation::Relu, Activation::MaxK(4)] {
-                let (graph, x, snap) = setup(arch, act);
-                let single = InferenceEngine::from_snapshot(&snap, &graph, x.clone()).unwrap();
-                for shards in [2usize, 4] {
-                    for strategy in [ShardStrategy::Contiguous, ShardStrategy::DegreeBalanced] {
-                        let sharded = ShardedEngine::from_snapshot(
-                            &snap,
-                            &graph,
-                            &x,
-                            ShardConfig {
-                                num_shards: shards,
-                                strategy,
-                            },
-                        )
-                        .unwrap();
-                        let seeds = [79u32, 0, 40, 13, 0];
-                        assert_eq!(
-                            sharded.logits_for(&seeds).unwrap(),
-                            single.logits_full(&seeds).unwrap(),
-                            "{arch:?} {act:?} S={shards} {strategy:?}"
-                        );
+                // 6 → 12 computes layer 0's combination phase per batch;
+                // 96 → 8 keeps it, sliced per shard.
+                for (in_dim, hidden, hoisted) in [(6usize, 12usize, false), (96, 8, true)] {
+                    let (graph, x, snap) = setup_at(arch, act, in_dim, hidden);
+                    let single = InferenceEngine::from_snapshot(&snap, &graph, x.clone()).unwrap();
+                    for shards in [2usize, 4] {
+                        for strategy in [ShardStrategy::Contiguous, ShardStrategy::DegreeBalanced] {
+                            let sharded = ShardedEngine::from_snapshot(
+                                &snap,
+                                &graph,
+                                &x,
+                                ShardConfig {
+                                    num_shards: shards,
+                                    strategy,
+                                },
+                            )
+                            .unwrap();
+                            assert!(sharded
+                                .slots
+                                .iter()
+                                .all(|s| s.engine.layer_costs()[0].linear_hoisted == hoisted));
+                            let seeds = [79u32, 0, 40, 13, 0];
+                            assert_eq!(
+                                sharded.logits_for(&seeds).unwrap(),
+                                single.logits_full(&seeds).unwrap(),
+                                "{arch:?} {act:?} {in_dim}→{hidden} S={shards} {strategy:?}"
+                            );
+                        }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn shard_slices_of_a_kept_product_are_its_rows_not_recomputed() {
+        let (graph, x, snap) = setup_at(Arch::Sage, Activation::MaxK(4), 96, 8);
+        let model = validated(&snap).unwrap();
+        let sharded =
+            ShardedEngine::from_snapshot(&snap, &graph, &x, ShardConfig::default()).unwrap();
+        for slot in &sharded.slots {
+            assert!(slot.local.len() > slot.owned.len(), "shard has ghost rows");
+            // A slice and a from-scratch state over the shard's rows agree
+            // bit for bit, ghost rows included.
+            let local = FeatureState::slice(&x, None, slot.local.ids());
+            let rebuilt = FeatureState::new(&model, local.x().clone()).unwrap();
+            assert_eq!(**slot.engine.operands().1, rebuilt);
+        }
+    }
+
+    #[test]
+    fn non_finite_features_rejected_at_construction() {
+        let (graph, mut x, snap) = setup(Arch::Gin, Activation::Relu);
+        x.set(63, 5, f32::NAN);
+        assert!(matches!(
+            ShardedEngine::from_snapshot(&snap, &graph, &x, ShardConfig::default()),
+            Err(ServeError::NonFiniteFeature { node: 63 })
+        ));
     }
 
     #[test]

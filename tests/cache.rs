@@ -26,15 +26,19 @@ use std::time::Duration;
 const NODES: usize = 70;
 
 fn setup() -> (maxk_gnn::graph::Csr, Matrix, ModelSnapshot) {
+    setup_at(6, 12)
+}
+
+fn setup_at(in_dim: usize, hidden: usize) -> (maxk_gnn::graph::Csr, Matrix, ModelSnapshot) {
     let graph = generate::chung_lu_power_law(NODES, 5.0, 2.3, 13)
         .to_csr()
         .unwrap();
-    let mut cfg = ModelConfig::new(Arch::Sage, Activation::MaxK(4), 6, 3);
-    cfg.hidden_dim = 12;
+    let mut cfg = ModelConfig::new(Arch::Sage, Activation::MaxK(4), in_dim, 3);
+    cfg.hidden_dim = hidden;
     cfg.dropout = 0.0;
     let mut rng = StdRng::seed_from_u64(29);
     let model = GnnModel::new(cfg, &graph, &mut rng);
-    let x = Matrix::xavier(NODES, 6, &mut rng);
+    let x = Matrix::xavier(NODES, in_dim, &mut rng);
     (graph, x, ModelSnapshot::capture(&model))
 }
 
@@ -192,15 +196,21 @@ proptest! {
     /// of each union after resident and in-flight seeds are stripped).
     #[test]
     fn cached_answers_bitwise_identical_for_arbitrary_seed_multisets(
-        queries in proptest::collection::vec(
-            proptest::collection::vec(0u32..NODES as u32, 1..5),
-            1..24
+        (queries, wide) in (
+            proptest::collection::vec(
+                proptest::collection::vec(0u32..NODES as u32, 1..5),
+                1..24
+            ),
+            0..2u8,
         )
     ) {
-        let (graph, x, snap) = setup();
+        // 6 → 12 runs layer 0's combination phase per batch; 96 → 8 keeps
+        // it in the engines' feature state.
+        let (graph, x, snap) = if wide == 1 { setup_at(96, 8) } else { setup() };
         let sharded = ShardedEngine::from_snapshot(&snap, &graph, &x, ShardConfig::default());
         let sharded = Arc::new(sharded.unwrap());
         let engine = Arc::new(InferenceEngine::from_snapshot(&snap, &graph, x).unwrap());
+        prop_assert_eq!(engine.layer_costs()[0].linear_hoisted, wide == 1);
         let expected = engine.forward_all();
         let cached = Server::builder()
             .cache_capacity(32)

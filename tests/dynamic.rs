@@ -138,13 +138,18 @@ proptest! {
     /// built on the mutated graph and features.
     #[test]
     fn incremental_logits_match_from_scratch_engine(
-        (arch_idx, (n, init, batches), write_nodes) in (
+        (arch_idx, wide, (n, init, batches), write_nodes) in (
             0usize..3,
+            0..2u8,
             plan_strategy(),
             proptest::collection::vec(0..22u32, 0..4),
         )
     ) {
         let arch = ARCHS[arch_idx];
+        // 5-wide inputs recompute layer 0's combination phase per batch;
+        // 96-wide ones keep it in the feature state, where a
+        // `WriteFeature` must redo exactly the written rows.
+        let in_dim = if wide == 1 { 96 } else { 5 };
         let nn = n as u32;
         let mut model: BTreeSet<(u32, u32)> = init
             .into_iter()
@@ -152,13 +157,13 @@ proptest! {
             .map(|(u, v)| (u.min(v), u.max(v)))
             .collect();
         let base = csr_from_pairs(n, &model);
-        let mut cfg = ModelConfig::new(arch, Activation::MaxK(2), 5, 3);
+        let mut cfg = ModelConfig::new(arch, Activation::MaxK(2), in_dim, 3);
         cfg.hidden_dim = 8;
         cfg.dropout = 0.0;
         let mut rng = StdRng::seed_from_u64(41);
         let gnn = GnnModel::new(cfg, &base, &mut rng);
         let snapshot = ModelSnapshot::capture(&gnn);
-        let features = Matrix::xavier(n, 5, &mut rng);
+        let features = Matrix::xavier(n, in_dim, &mut rng);
         let dynamic =
             DynamicEngine::new(&snapshot, &base, features, InvalidationStrategy::DirtyCone)
                 .expect("valid model");
@@ -175,7 +180,7 @@ proptest! {
                 let node = w % nn;
                 muts.push(Mutation::WriteFeature {
                     node,
-                    values: (0..5).map(|j| 0.01 * (b + j) as f32 - 0.3).collect(),
+                    values: (0..in_dim).map(|j| 0.01 * (b + j) as f32 - 0.3).collect(),
                 });
             }
             dynamic.apply(&muts).expect("validated mutations");
@@ -185,6 +190,7 @@ proptest! {
                 dynamic.current_features(),
             )
             .expect("rebuilt engine");
+            prop_assert_eq!(reference.layer_costs()[0].linear_hoisted, wide == 1);
             prop_assert_eq!(&dynamic.current_graph(), &csr_from_pairs(n, &model));
             prop_assert_eq!(dynamic.forward_all(), reference.forward_all());
         }

@@ -14,15 +14,24 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 fn setup(arch: Arch, act: Activation) -> (maxk_gnn::graph::Csr, Matrix, GnnModel) {
+    setup_at(arch, act, 10, 16)
+}
+
+fn setup_at(
+    arch: Arch,
+    act: Activation,
+    in_dim: usize,
+    hidden: usize,
+) -> (maxk_gnn::graph::Csr, Matrix, GnnModel) {
     let graph = maxk_gnn::graph::generate::chung_lu_power_law(120, 6.0, 2.3, 3)
         .to_csr()
         .unwrap();
-    let mut cfg = ModelConfig::new(arch, act, 10, 4);
-    cfg.hidden_dim = 16;
+    let mut cfg = ModelConfig::new(arch, act, in_dim, 4);
+    cfg.hidden_dim = hidden;
     cfg.dropout = 0.0;
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let model = GnnModel::new(cfg, &graph, &mut rng);
-    let x = Matrix::xavier(120, 10, &mut rng);
+    let x = Matrix::xavier(120, in_dim, &mut rng);
     (graph, x, model)
 }
 
@@ -30,13 +39,21 @@ fn setup(arch: Arch, act: Activation) -> (maxk_gnn::graph::Csr, Matrix, GnnModel
 fn engine_partial_forward_bitwise_equals_full() {
     for arch in [Arch::Gcn, Arch::Sage, Arch::Gin] {
         for act in [Activation::Relu, Activation::MaxK(5)] {
-            let (graph, x, model) = setup(arch, act);
-            let snap = ModelSnapshot::capture(&model);
-            let engine = InferenceEngine::from_snapshot(&snap, &graph, x).unwrap();
-            let seeds = [0u32, 42, 119, 42];
-            let full = engine.logits_full(&seeds).unwrap();
-            let partial = engine.logits_partial(&seeds).unwrap();
-            assert_eq!(partial, full, "{arch:?} {act:?}");
+            // 10 → 16: layer 0's combination phase runs per batch over
+            // gathered feature rows. 96 → 8: the engine keeps it, and a
+            // partial plan gathers rows of the kept product instead.
+            for (in_dim, hidden, hoisted) in [(10usize, 16usize, false), (96, 8, true)] {
+                let (graph, x, mut model) = setup_at(arch, act, in_dim, hidden);
+                let snap = ModelSnapshot::capture(&model);
+                let engine = InferenceEngine::from_snapshot(&snap, &graph, x.clone()).unwrap();
+                assert_eq!(engine.layer_costs()[0].linear_hoisted, hoisted);
+                let seeds = [0u32, 42, 119, 42];
+                let full = engine.logits_full(&seeds).unwrap();
+                let partial = engine.logits_partial(&seeds).unwrap();
+                assert_eq!(partial, full, "{arch:?} {act:?} {in_dim}→{hidden}");
+                let by_model = model.forward_planned(&x, &seeds, &ForwardPlan::Full);
+                assert_eq!(full, by_model, "{arch:?} {act:?} {in_dim}→{hidden}");
+            }
         }
     }
 }

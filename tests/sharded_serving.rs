@@ -15,15 +15,24 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 fn setup(arch: Arch, act: Activation) -> (maxk_gnn::graph::Csr, Matrix, ModelSnapshot) {
+    setup_at(arch, act, 10, 16)
+}
+
+fn setup_at(
+    arch: Arch,
+    act: Activation,
+    in_dim: usize,
+    hidden: usize,
+) -> (maxk_gnn::graph::Csr, Matrix, ModelSnapshot) {
     let graph = maxk_gnn::graph::generate::chung_lu_power_law(140, 6.0, 2.3, 13)
         .to_csr()
         .unwrap();
-    let mut cfg = ModelConfig::new(arch, act, 10, 4);
-    cfg.hidden_dim = 16;
+    let mut cfg = ModelConfig::new(arch, act, in_dim, 4);
+    cfg.hidden_dim = hidden;
     cfg.dropout = 0.0;
     let mut rng = rand::rngs::StdRng::seed_from_u64(17);
     let model = GnnModel::new(cfg, &graph, &mut rng);
-    let x = Matrix::xavier(140, 10, &mut rng);
+    let x = Matrix::xavier(140, in_dim, &mut rng);
     (graph, x, ModelSnapshot::capture(&model))
 }
 
@@ -50,17 +59,23 @@ fn sharded(
 fn sharded_logits_bitwise_equal_single_engine_at_2_and_4_shards() {
     for arch in [Arch::Gcn, Arch::Sage, Arch::Gin] {
         for act in [Activation::Relu, Activation::MaxK(5)] {
-            let (graph, x, snap) = setup(arch, act);
-            let single = InferenceEngine::from_snapshot(&snap, &graph, x.clone()).unwrap();
-            for num_shards in [2usize, 4] {
-                for strategy in [ShardStrategy::Contiguous, ShardStrategy::DegreeBalanced] {
-                    let engine = sharded(&snap, &graph, &x, num_shards, strategy);
-                    let seeds = [0u32, 139, 70, 35, 105];
-                    assert_eq!(
-                        engine.logits_for(&seeds).unwrap(),
-                        single.logits_full(&seeds).unwrap(),
-                        "{arch:?} {act:?} S={num_shards} {strategy:?}"
-                    );
+            // 10 → 16 computes layer 0's combination phase per batch;
+            // 96 → 8 keeps it (computed once on the global matrix, each
+            // shard holding its owned and ghost rows of it).
+            for (in_dim, hidden, hoisted) in [(10usize, 16usize, false), (96, 8, true)] {
+                let (graph, x, snap) = setup_at(arch, act, in_dim, hidden);
+                let single = InferenceEngine::from_snapshot(&snap, &graph, x.clone()).unwrap();
+                assert_eq!(single.layer_costs()[0].linear_hoisted, hoisted);
+                for num_shards in [2usize, 4] {
+                    for strategy in [ShardStrategy::Contiguous, ShardStrategy::DegreeBalanced] {
+                        let engine = sharded(&snap, &graph, &x, num_shards, strategy);
+                        let seeds = [0u32, 139, 70, 35, 105];
+                        assert_eq!(
+                            engine.logits_for(&seeds).unwrap(),
+                            single.logits_full(&seeds).unwrap(),
+                            "{arch:?} {act:?} {in_dim}→{hidden} S={num_shards} {strategy:?}"
+                        );
+                    }
                 }
             }
         }

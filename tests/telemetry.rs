@@ -12,7 +12,7 @@
 use maxk_gnn::graph::generate;
 use maxk_gnn::graph::shard::ShardStrategy;
 use maxk_gnn::nn::snapshot::ModelSnapshot;
-use maxk_gnn::nn::{Activation, Arch, GnnModel, ModelConfig};
+use maxk_gnn::nn::{Activation, Arch, GnnModel, ModelConfig, PlanConfig};
 use maxk_gnn::serve::{
     InferenceEngine, LatencyHistogram, LatencySummary, OverloadPolicy, QueryOptions, ScrapeSource,
     Server, ShardConfig, ShardedEngine,
@@ -420,52 +420,82 @@ fn cached_inline_answers_are_counted_in_the_stage_books() {
 }
 
 /// Per-layer kernel lap times must sum to within 10% of the measured
-/// forward wall time: the timed laps (dense linear, SpMM, SSpMM, MaxK)
-/// are the forward — only inter-layer glue is untimed. The workload is
-/// sized so each forward runs long enough that per-lap microsecond
-/// truncation is negligible.
+/// forward wall time: the timed laps (dense linear, SpMM, SSpMM, MaxK,
+/// row gathers) are the forward — only inter-layer glue is untimed. The
+/// workload is sized so each forward runs long enough that per-lap
+/// microsecond truncation is negligible.
+///
+/// Holds for full and partial plans, and on both sides of the engine's
+/// quarter rule: at 32-wide inputs layer 0's combination phase runs (and
+/// is timed) per batch; at 320-wide ones the engine keeps its product, a
+/// forward records no `dense_linear`/`maxk` lap for layer 0 because it
+/// computes none, and a partial plan's row gathers from the kept product
+/// are layer-0 `gather` laps.
 #[test]
 fn kernel_lap_times_sum_to_the_forward_wall_time() {
-    let server = Server::builder()
-        .batch_window(Duration::from_millis(1))
-        .max_batch(1)
-        .workers(1)
-        .start(engine(600, 32, 64, 8));
-    let handle = server.handle();
-    let seeds: Vec<u32> = (0..150u32).map(|i| (i * 4) % 600).collect();
-    for _ in 0..6 {
-        handle.query(&seeds).unwrap().into_answer().unwrap();
+    for (in_dim, hoisted) in [(32usize, false), (320, true)] {
+        for partial in [false, true] {
+            let plan = PlanConfig {
+                seed_frac_cutoff: if partial { 1.0 } else { 0.0 },
+                work_ratio: if partial { f64::INFINITY } else { 0.0 },
+            };
+            let engine = InferenceEngine::clone(&engine(600, in_dim, 64, 8)).with_plan_config(plan);
+            assert_eq!(engine.layer_costs()[0].linear_hoisted, hoisted);
+            let server = Server::builder()
+                .batch_window(Duration::from_millis(1))
+                .max_batch(1)
+                .workers(1)
+                .start(Arc::new(engine));
+            let handle = server.handle();
+            let seeds: Vec<u32> = (0..150u32).map(|i| (i * 4) % 600).collect();
+            for _ in 0..6 {
+                let answer = handle.query(&seeds).unwrap().into_answer().unwrap();
+                assert_eq!(answer.partial, partial);
+            }
+            let reg = server
+                .telemetry()
+                .expect("telemetry on by default")
+                .registry()
+                .snapshot();
+            let total = |name: &str| -> u64 {
+                reg.counters
+                    .iter()
+                    .filter(|s| s.name == name)
+                    .map(|s| s.value)
+                    .sum()
+            };
+            let case = format!("in_dim={in_dim} partial={partial}");
+            let kernel = total("maxk_serve_kernel_time_us_total");
+            let forward = total("maxk_serve_forward_time_us_total");
+            let forwards = total("maxk_serve_forwards_total");
+            assert!(forwards >= 6, "each query runs at least one forward");
+            assert!(forward > 0, "forward wall time must be recorded");
+            // Laps nest inside the forward: per forward the lap floors can
+            // exceed the forward floor by at most 1 µs.
+            assert!(
+                kernel <= forward + forwards,
+                "kernel laps cannot exceed the forward that contains them: \
+                 kernel={kernel} forward={forward} ({case})"
+            );
+            assert!(
+                kernel as f64 >= 0.9 * forward as f64,
+                "kernel laps must account for >=90% of forward time: \
+                 kernel={kernel} forward={forward} ({case})"
+            );
+            let l0_series = |kernel: &str| {
+                reg.counters.iter().any(|s| {
+                    s.name == "maxk_serve_kernel_time_us_total"
+                        && s.labels.iter().any(|(k, v)| *k == "layer" && v == "0")
+                        && s.labels.iter().any(|(k, v)| *k == "kernel" && v == kernel)
+                })
+            };
+            assert_eq!(l0_series("dense_linear"), !hoisted, "{case}");
+            assert_eq!(l0_series("maxk"), !hoisted, "{case}");
+            assert_eq!(l0_series("gather"), partial, "{case}");
+            assert!(l0_series("sspmm"), "{case}");
+            server.shutdown();
+        }
     }
-    let reg = server
-        .telemetry()
-        .expect("telemetry on by default")
-        .registry()
-        .snapshot();
-    let total = |name: &str| -> u64 {
-        reg.counters
-            .iter()
-            .filter(|s| s.name == name)
-            .map(|s| s.value)
-            .sum()
-    };
-    let kernel = total("maxk_serve_kernel_time_us_total");
-    let forward = total("maxk_serve_forward_time_us_total");
-    let forwards = total("maxk_serve_forwards_total");
-    assert!(forwards >= 6, "each query runs at least one forward");
-    assert!(forward > 0, "forward wall time must be recorded");
-    // Laps nest inside the forward: per forward the lap floors can
-    // exceed the forward floor by at most 1 µs.
-    assert!(
-        kernel <= forward + forwards,
-        "kernel laps cannot exceed the forward that contains them: \
-         kernel={kernel} forward={forward}"
-    );
-    assert!(
-        kernel as f64 >= 0.9 * forward as f64,
-        "kernel laps must account for >=90% of forward time: \
-         kernel={kernel} forward={forward}"
-    );
-    server.shutdown();
 }
 
 /// A sharded engine exports per-shard series through the same scrape:

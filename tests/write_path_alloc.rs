@@ -2,14 +2,15 @@
 //! 3(d) asks for).
 //!
 //! Serving operands are owned once: a `DynamicEngine::apply` shares the
-//! weights with every earlier epoch and the feature matrix with every
-//! epoch since the last feature write. This file holds one test, so
-//! nothing else allocates while it measures how far the live heap rises
-//! above its level at the start of an apply — the quantity the repo
-//! benchmark reports as `peak_heap_mb`. An edge-only batch must not hold
-//! a second feature matrix at any moment, and a feature-writing batch
+//! weights with every earlier epoch and the feature state — the matrix
+//! and, at wide inputs, layer 0's combination-phase product derived from
+//! it — with every epoch since the last feature write. This file holds
+//! one test, so nothing else allocates while it measures how far the live
+//! heap rises above its level at the start of an apply — the quantity the
+//! repo benchmark reports as `peak_heap_mb`. An edge-only batch must not
+//! hold a second feature state at any moment, and a feature-writing batch
 //! exactly one (copy on write; the epoch being replaced still serves the
-//! old rows).
+//! old rows), with only the written rows of the product recomputed.
 //!
 //! What an apply still needs is the graph side — the spliced base and
 //! operand CSRs, the operand's copy inside the new `GraphContext`, its
@@ -84,18 +85,27 @@ fn heap_rise<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 const NODES: usize = 4096;
-const IN_DIM: usize = 64;
+const HIDDEN: usize = 32;
+const K: usize = 8;
+/// Layer 0's product per row: `K` CBSR slots (value + `u8` index) and the
+/// dense SAGE self product.
+const PRODUCT_ROW_BYTES: usize = K * 5 + HIDDEN * 4;
 
-#[test]
-fn apply_copies_features_only_on_a_feature_write() {
+/// One edge-only and one feature-writing apply over `in_dim`-wide
+/// features, against budgets in units of the feature matrix; `kept` is
+/// the resident layer-0 product the engine derives from it, in bytes.
+/// The graph side of an apply (about 0.3 MiB here) is smaller than either
+/// phase's gap between a kept and an absent product, so the write budgets
+/// also pin which side of the quarter rule each shape is on.
+fn phase(in_dim: usize, kept: usize) {
     let graph = generate::erdos_renyi(NODES, 2.0, 7).to_csr().unwrap();
-    let mut cfg = ModelConfig::new(Arch::Sage, Activation::MaxK(8), IN_DIM, 8);
-    cfg.hidden_dim = 32;
+    let mut cfg = ModelConfig::new(Arch::Sage, Activation::MaxK(K), in_dim, 8);
+    cfg.hidden_dim = HIDDEN;
     cfg.dropout = 0.0;
     let mut rng = StdRng::seed_from_u64(3);
     let snapshot = ModelSnapshot::capture(&GnnModel::new(cfg, &graph, &mut rng));
-    let features = Matrix::xavier(NODES, IN_DIM, &mut rng);
-    let feature_bytes = NODES * IN_DIM * std::mem::size_of::<f32>();
+    let features = Matrix::xavier(NODES, in_dim, &mut rng);
+    let feature_bytes = NODES * in_dim * std::mem::size_of::<f32>();
     let engine =
         DynamicEngine::new(&snapshot, &graph, features, InvalidationStrategy::DirtyCone).unwrap();
 
@@ -111,17 +121,26 @@ fn apply_copies_features_only_on_a_feature_write() {
         Mutation::InsertEdge { u: 2, v: 3000 },
         Mutation::WriteFeature {
             node: 17,
-            values: vec![0.25; IN_DIM],
+            values: vec![0.25; in_dim],
         },
     ];
     let (report, with_write) = heap_rise(|| engine.apply(&write).unwrap());
     assert_eq!((report.epoch, report.feature_writes), (2, 1));
     assert!(
-        with_write > feature_bytes,
-        "a feature write must copy the matrix the previous epoch still serves"
+        with_write > feature_bytes + kept,
+        "a feature write must copy the state the previous epoch still serves"
     );
     assert!(
-        with_write < feature_bytes * 3 / 2,
-        "feature-writing apply held {with_write} extra B; the feature matrix is {feature_bytes} B"
+        with_write < feature_bytes * 3 / 2 + kept,
+        "feature-writing apply held {with_write} extra B; the feature matrix is \
+         {feature_bytes} B, the product kept beside it {kept} B"
     );
+}
+
+#[test]
+fn apply_copies_features_only_on_a_feature_write() {
+    // 64-wide: the product would be 0.66 of the features, so none is kept.
+    phase(64, 0);
+    // 256-wide: 0.16 of the features, kept and copied with them on write.
+    phase(256, NODES * PRODUCT_ROW_BYTES);
 }
