@@ -43,6 +43,6 @@ fn main() {
     table.print();
     println!(
         "\nStand-ins preserve average degree (density-capped at n/8 for scaled graphs) \
-         and a heavy-tailed profile for power-law graphs; see DESIGN.md §1."
+         and a heavy-tailed profile for power-law graphs."
     );
 }

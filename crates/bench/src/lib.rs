@@ -1,8 +1,8 @@
 //! Experiment harness for the MaxK-GNN reproduction.
 //!
 //! Each table and figure of the paper has a binary in `src/bin/` that
-//! regenerates it (see `DESIGN.md`'s experiment index); this library holds
-//! the shared machinery:
+//! regenerates it (see the crate map in `docs/ARCHITECTURE.md`); this
+//! library holds the shared machinery:
 //!
 //! * [`report`] — markdown/CSV table emission;
 //! * [`timing`] — repeated-measurement wall-clock helpers;

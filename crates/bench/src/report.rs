@@ -1,11 +1,4 @@
-//! Minimal table reporting (markdown, CSV and JSON) for experiment
-//! binaries.
-//!
-//! The [`JsonValue`]/[`JsonObject`] pair is a dependency-free JSON
-//! emitter for machine-readable artifacts such as `BENCH_serve.json`:
-//! enough of the format (objects, arrays, strings with escaping, finite
-//! numbers, booleans, null) for benchmark results, with non-finite
-//! numbers serialized as `null` so the output always parses.
+//! Minimal table reporting (markdown and CSV) for experiment binaries.
 
 use std::fmt::Write as _;
 
@@ -44,11 +37,6 @@ impl Table {
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
         self.rows.push(cells);
-    }
-
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
     }
 
     /// Renders GitHub-flavoured markdown with aligned columns.
@@ -127,186 +115,6 @@ pub fn fmt_bytes(bytes: u64) -> String {
     }
 }
 
-/// One JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number; non-finite values render as `null`.
-    Num(f64),
-    /// A string (escaped on render).
-    Str(String),
-    /// An ordered list.
-    Array(Vec<JsonValue>),
-    /// An ordered key/value object.
-    Object(JsonObject),
-}
-
-impl JsonValue {
-    /// Renders compact JSON.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    fn render_into(&self, out: &mut String) {
-        match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Num(n) => {
-                if n.is_finite() {
-                    let _ = write!(out, "{n}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            JsonValue::Str(s) => escape_json_str(s, out),
-            JsonValue::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
-                }
-                out.push(']');
-            }
-            JsonValue::Object(o) => o.render_into(out),
-        }
-    }
-}
-
-impl From<f64> for JsonValue {
-    fn from(v: f64) -> Self {
-        JsonValue::Num(v)
-    }
-}
-
-impl From<u64> for JsonValue {
-    fn from(v: u64) -> Self {
-        JsonValue::Num(v as f64)
-    }
-}
-
-impl From<usize> for JsonValue {
-    fn from(v: usize) -> Self {
-        JsonValue::Num(v as f64)
-    }
-}
-
-impl From<bool> for JsonValue {
-    fn from(v: bool) -> Self {
-        JsonValue::Bool(v)
-    }
-}
-
-impl From<&str> for JsonValue {
-    fn from(v: &str) -> Self {
-        JsonValue::Str(v.to_owned())
-    }
-}
-
-impl From<String> for JsonValue {
-    fn from(v: String) -> Self {
-        JsonValue::Str(v)
-    }
-}
-
-impl From<JsonObject> for JsonValue {
-    fn from(v: JsonObject) -> Self {
-        JsonValue::Object(v)
-    }
-}
-
-impl<T: Into<JsonValue>> From<Vec<T>> for JsonValue {
-    fn from(v: Vec<T>) -> Self {
-        JsonValue::Array(v.into_iter().map(Into::into).collect())
-    }
-}
-
-/// A JSON object builder preserving field order.
-///
-/// # Example
-///
-/// ```
-/// use maxk_bench::report::JsonObject;
-///
-/// let json = JsonObject::new()
-///     .field("throughput_qps", 1234.5)
-///     .field("mode", "batched")
-///     .render();
-/// assert_eq!(json, r#"{"throughput_qps":1234.5,"mode":"batched"}"#);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct JsonObject {
-    fields: Vec<(String, JsonValue)>,
-}
-
-impl JsonObject {
-    /// An empty object.
-    pub fn new() -> Self {
-        JsonObject::default()
-    }
-
-    /// Appends a field (builder style).
-    #[must_use]
-    pub fn field(mut self, key: &str, value: impl Into<JsonValue>) -> Self {
-        self.fields.push((key.to_owned(), value.into()));
-        self
-    }
-
-    /// Renders compact JSON.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    fn render_into(&self, out: &mut String) {
-        out.push('{');
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            escape_json_str(k, out);
-            out.push(':');
-            v.render_into(out);
-        }
-        out.push('}');
-    }
-}
-
-/// Writes a rendered JSON object to `path` with a trailing newline — the
-/// shared emitter behind `BENCH_serve.json` / `BENCH_partial.json`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn save_json(path: impl AsRef<std::path::Path>, obj: &JsonObject) -> std::io::Result<()> {
-    std::fs::write(path, format!("{}\n", obj.render()))
-}
-
-fn escape_json_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,7 +137,6 @@ mod tests {
         t.row(vec!["3".into(), "4".into()]);
         let csv = t.to_csv();
         assert_eq!(csv, "x,y\n1,2\n3,4\n");
-        assert_eq!(t.num_rows(), 2);
     }
 
     #[test]
@@ -337,47 +144,6 @@ mod tests {
     fn row_width_checked() {
         let mut t = Table::new(vec!["only"]);
         t.row(vec!["a".into(), "b".into()]);
-    }
-
-    #[test]
-    fn json_object_renders_ordered_fields() {
-        let json = JsonObject::new()
-            .field("a", 1u64)
-            .field("b", 2.5)
-            .field("c", "x")
-            .field("d", true)
-            .field("e", JsonObject::new().field("nested", 3u64))
-            .field("f", vec![1.0, 2.0])
-            .render();
-        assert_eq!(
-            json,
-            r#"{"a":1,"b":2.5,"c":"x","d":true,"e":{"nested":3},"f":[1,2]}"#
-        );
-    }
-
-    #[test]
-    fn json_escapes_strings() {
-        let json = JsonObject::new()
-            .field("msg", "a\"b\\c\nd\te\u{1}")
-            .render();
-        assert_eq!(json, r#"{"msg":"a\"b\\c\nd\te\u0001"}"#);
-    }
-
-    #[test]
-    fn json_non_finite_numbers_become_null() {
-        let json = JsonObject::new()
-            .field("nan", f64::NAN)
-            .field("inf", f64::INFINITY)
-            .field("ok", 1.0)
-            .render();
-        assert_eq!(json, r#"{"nan":null,"inf":null,"ok":1}"#);
-    }
-
-    #[test]
-    fn json_null_and_integer_rendering() {
-        assert_eq!(JsonValue::Null.render(), "null");
-        assert_eq!(JsonValue::Num(1e6).render(), "1000000");
-        assert_eq!(JsonValue::from(7usize).render(), "7");
     }
 
     #[test]

@@ -17,20 +17,6 @@ pub fn time_secs<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     t0.elapsed().as_secs_f64() / reps as f64
 }
 
-/// Like [`time_secs`] but returns the minimum over `reps` single-run
-/// timings (less noise-sensitive for very short kernels).
-pub fn time_secs_min<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    assert!(reps > 0, "need at least one repetition");
-    f(); // warmup
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -41,19 +27,6 @@ mod tests {
             std::hint::black_box((0..1000).sum::<u64>());
         });
         assert!(t >= 0.0);
-    }
-
-    #[test]
-    fn min_le_mean_for_same_work() {
-        let mut xs = vec![0u64; 20_000];
-        let work = |xs: &mut Vec<u64>| {
-            for (i, v) in xs.iter_mut().enumerate() {
-                *v = v.wrapping_add(i as u64);
-            }
-        };
-        let mean = time_secs(5, || work(&mut xs));
-        let min = time_secs_min(5, || work(&mut xs));
-        assert!(min <= mean * 1.5 + 1e-6);
     }
 
     #[test]

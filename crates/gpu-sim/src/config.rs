@@ -5,8 +5,8 @@
 /// Defaults model the NVIDIA A100-80GB used in the paper's evaluation
 /// (§5.1): 108 SMs, 40 MB L2, ~1.9 TB/s HBM2e. Latency-model constants
 /// (`*_bandwidth`, `atomic_sector_rate`, `flop_rate`) are calibration
-/// knobs, documented where they matter in `DESIGN.md`; the reproduction
-/// targets relative speedups, not absolute A100 milliseconds.
+/// knobs; the reproduction targets relative speedups, not absolute A100
+/// milliseconds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuConfig {
     /// Number of streaming multiprocessors.

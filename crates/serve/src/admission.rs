@@ -89,10 +89,8 @@ pub enum OverloadPolicy {
 
 impl OverloadPolicy {
     /// Stable lower-case label — the single source of the policy names
-    /// used by `serve_bench`'s `--admission-policies` flag, written into
-    /// `BENCH_admission.json`, and reported by
-    /// `maxk_serve_build_info{policy=…}`, `/debug/state` and the
-    /// incident-bundle config.
+    /// reported by `maxk_serve_build_info{policy=…}`, `/debug/state` and
+    /// the incident-bundle config.
     pub fn label(&self) -> &'static str {
         match self {
             OverloadPolicy::Block => "block",
@@ -200,8 +198,7 @@ pub struct AdaptiveSnapshot {
 /// An observation carrying a new engine **epoch** (a [`DynamicEngine`]
 /// mutation swapped the graph) *re-plans*: the average restarts at that
 /// observation instead of dragging the stale graph's service time
-/// along. `serve_bench` uses the same type for its startup capacity
-/// measurement, so the bench and the server share one measurement path.
+/// along.
 ///
 /// [`DynamicEngine`]: crate::mutation::DynamicEngine
 #[derive(Debug)]

@@ -468,7 +468,7 @@ impl InferenceEngine {
     }
 
     /// Forces the seed-restricted path regardless of the cost heuristic
-    /// (benchmarking hook; `serve_bench` sweeps it against
+    /// (the differential tests compare it bitwise against
     /// [`InferenceEngine::logits_full`]).
     ///
     /// # Errors
@@ -622,8 +622,8 @@ impl BatchEngine for InferenceEngine {
 
 /// A [`BatchEngine`] decorator that injects a configurable delay into
 /// every forward pass — the controlled slow-batch fault used by the SLO
-/// incident tests and `serve_bench --slo` smoke (breach a latency
-/// objective on demand, with bitwise-identical results).
+/// incident tests (breach a latency objective on demand, with
+/// bitwise-identical results).
 ///
 /// The delay is a live atomic: `set_forward_delay(Duration::ZERO)`
 /// clears the fault mid-run, which is how tests drive the

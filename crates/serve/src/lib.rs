@@ -55,13 +55,8 @@
 //! * [`LatencyHistogram`] / [`StatsSnapshot`] — p50/p95/p99 latency,
 //!   throughput, admission accounting (submitted/rejected/shed, queue
 //!   depth and its peak) and per-client stats on the serving path;
-//! * [`replay`] / [`open_loop`] — Zipf-traffic load generators with
-//!   deterministic per-client query streams ([`QueryStream`]):
-//!   closed-loop replay for sustainable-throughput benchmarks, and an
-//!   open-loop Poisson process that can push offered load past
-//!   saturation to measure overload behavior (`serve_bench` in
-//!   `maxk-bench` emits both `BENCH_serve.json` and
-//!   `BENCH_admission.json` from them).
+//! * [`replay`] — a closed-loop Zipf-traffic load generator with
+//!   deterministic per-client query streams ([`QueryStream`]).
 //!
 //! # Quickstart
 //!
@@ -122,10 +117,7 @@ pub use admission::{
 pub use cache::{CacheConfig, CacheKey, CacheSnapshot, LogitCache};
 pub use engine::{BatchEngine, BatchLogits, BatchOutcome, FaultInjector, InferenceEngine};
 pub use exec::{Executor, ShutdownBarrier, StdThreadExecutor, TaskScope, Worker};
-pub use loadgen::{
-    open_loop, replay, LoadConfig, LoadReport, OpenLoopConfig, OpenLoopReport, QueryStream,
-    ZipfSampler,
-};
+pub use loadgen::{replay, LoadConfig, LoadReport, QueryStream, ZipfSampler};
 pub use maxk_graph::shard::ShardStrategy;
 pub use maxk_nn::plan::{ForwardPlan, PlanConfig};
 pub use maxk_nn::{GraphVersion, SnapshotGeneration};

@@ -1,29 +1,22 @@
-//! Load generation with Zipf-distributed seed popularity: closed-loop
-//! replay and an open-loop Poisson generator.
+//! Closed-loop load replay with Zipf-distributed seed popularity.
 //!
 //! Real serving traffic is heavily skewed — a small set of hot nodes
-//! (popular products, large communities) absorbs most queries. Both
-//! generators reproduce that with a Zipf(`s`) distribution over node
+//! (popular products, large communities) absorbs most queries.
+//! [`replay`] reproduces that with a Zipf(`s`) distribution over node
 //! ids: node rank `r` (0-based) is drawn with probability ∝ `1/(r+1)^s`.
 //!
-//! Two loop disciplines, for two different questions:
-//!
-//! * [`replay`] is **closed-loop**: each client issues its next query
-//!   only after the previous one is answered, so offered load adapts to
-//!   what the server sustains. That measures *sustainable throughput*
-//!   honestly, but by construction it can never overload the server —
-//!   the arrival rate collapses to the service rate.
-//! * [`open_loop`] is **open-loop**: arrivals follow a Poisson process
-//!   at a configured offered rate, independent of how fast answers come
-//!   back. Only this discipline can push offered load past capacity and
-//!   measure how the admission layer behaves there — bounded p99 and a
-//!   goodput plateau with shedding, versus queueing collapse without.
+//! [`replay`] is **closed-loop**: each client issues its next query only
+//! after the previous one is answered, so offered load adapts to what
+//! the server sustains. That measures *sustainable throughput* honestly,
+//! but by construction it can never overload the server — the arrival
+//! rate collapses to the service rate. Overload behaviour is pinned by
+//! `tests/admission.rs`, which floods the queue directly.
 //!
 //! Every client's query sequence is a pure function of
 //! `(seed, client index)` — per-client RNG streams are derived with a
 //! SplitMix64 mix and never shared across threads ([`QueryStream`]) — so
-//! a `BENCH_*` run's offered traffic is reproducible regardless of how
-//! the OS interleaves client threads.
+//! a run's offered traffic is reproducible regardless of how the OS
+//! interleaves client threads.
 
 use crate::exec::{Executor, StdThreadExecutor};
 use crate::metrics::{LatencyHistogram, LatencySummary};
@@ -32,7 +25,7 @@ use crate::ServeError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Precomputed-CDF Zipf sampler over `0..n`.
 ///
@@ -109,10 +102,10 @@ fn mix_seed(base: u64, client: u64) -> u64 {
 /// load-generator client issues, as a pure function of
 /// `(base seed, client index)`.
 ///
-/// Both [`replay`] and [`open_loop`] drive one `QueryStream` per client
-/// thread, so the *offered* traffic of a `BENCH_*` run is bit-identical
-/// across runs and thread interleavings (what the server makes of it —
-/// batching, shedding — still depends on timing).
+/// [`replay`] drives one `QueryStream` per client thread, so the
+/// *offered* traffic of a run is bit-identical across runs and thread
+/// interleavings (what the server makes of it — batching, shedding —
+/// still depends on timing).
 ///
 /// # Example
 ///
@@ -295,256 +288,9 @@ pub fn replay(handle: &ServerHandle, cfg: &LoadConfig) -> Result<LoadReport, Ser
     })
 }
 
-/// Open-loop (Poisson-arrival) load configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct OpenLoopConfig {
-    /// Generator threads; the aggregate offered rate is split evenly
-    /// across them (each is an independent Poisson process, and a
-    /// superposition of Poisson processes is Poisson).
-    pub clients: usize,
-    /// Aggregate offered arrival rate, queries per second.
-    pub offered_qps: f64,
-    /// How long arrivals keep coming. The run then drains outstanding
-    /// queries, so wall-clock exceeds this under overload.
-    pub duration: Duration,
-    /// Seeds per query (1 = single-node queries).
-    pub seeds_per_query: usize,
-    /// Zipf exponent of the node-popularity distribution.
-    pub zipf_exponent: f64,
-    /// Base RNG seed; per-client streams derive from it as in
-    /// [`LoadConfig::seed`] (arrival times use an independent derived
-    /// stream, so query *content* matches a [`replay`] with the same
-    /// seed).
-    pub seed: u64,
-    /// Per-query latency budget submitted with each query; answers
-    /// later than this don't count toward goodput.
-    pub deadline: Option<Duration>,
-}
-
-impl Default for OpenLoopConfig {
-    fn default() -> Self {
-        OpenLoopConfig {
-            clients: 4,
-            offered_qps: 500.0,
-            duration: Duration::from_secs(1),
-            seeds_per_query: 1,
-            zipf_exponent: 1.1,
-            seed: 0,
-            deadline: None,
-        }
-    }
-}
-
-/// What an open-loop run measured, client-side.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OpenLoopReport {
-    /// Configured aggregate offered rate (q/s).
-    pub offered_qps: f64,
-    /// Queries actually submitted (≈ `offered_qps × duration`).
-    pub submitted: u64,
-    /// Queries answered with logits.
-    pub answered: u64,
-    /// Queries rejected at admission.
-    pub rejected: u64,
-    /// Admitted queries shed before a forward.
-    pub shed: u64,
-    /// Answered queries that still missed their deadline (client-side
-    /// check against [`OpenLoopConfig::deadline`]).
-    pub late: u64,
-    /// Wall-clock including the post-arrival drain, seconds.
-    pub wall_s: f64,
-    /// *Goodput*: answers that met their deadline (all answers when no
-    /// deadline is set) per second of wall-clock. The number that should
-    /// plateau — rather than collapse — past saturation.
-    pub goodput_qps: f64,
-    /// Client-observed latency distribution of answered queries
-    /// (submit → reply collected).
-    pub latency: LatencySummary,
-}
-
-/// Drives an open-loop Poisson arrival process against `handle`.
-///
-/// Each client thread fires queries at exponentially-distributed
-/// inter-arrival times *without waiting for replies* (a paired collector
-/// thread gathers outcomes in submission order), so the offered rate
-/// stays fixed as the server saturates — the regime where admission
-/// control earns its keep. A closed-loop generator cannot create this
-/// regime by construction: its arrival rate collapses to the service
-/// rate, which is why [`replay`] alone cannot measure overload behavior.
-///
-/// Under [`crate::admission::OverloadPolicy::Block`] the submit itself
-/// blocks when the queue fills; arrivals then fall behind schedule and
-/// the measured latency includes that blocked time, which is exactly the
-/// unbounded-latency failure mode the policy exhibits under overload.
-///
-/// # Errors
-///
-/// Propagates the first [`ServeError`] any client hits (e.g. the server
-/// shut down mid-run).
-///
-/// # Panics
-///
-/// Panics when `clients`, `seeds_per_query`, `offered_qps` or `duration`
-/// is zero/non-positive.
-pub fn open_loop(
-    handle: &ServerHandle,
-    cfg: &OpenLoopConfig,
-) -> Result<OpenLoopReport, ServeError> {
-    assert!(cfg.clients > 0, "need at least one client");
-    assert!(cfg.seeds_per_query > 0, "need at least one seed per query");
-    assert!(
-        cfg.offered_qps.is_finite() && cfg.offered_qps > 0.0,
-        "offered rate must be positive"
-    );
-    assert!(!cfg.duration.is_zero(), "duration must be nonzero");
-    let per_client_rate = cfg.offered_qps / cfg.clients as f64;
-
-    #[derive(Default)]
-    struct Tally {
-        submitted: u64,
-        answered: u64,
-        rejected: u64,
-        shed: u64,
-        late: u64,
-        hist: LatencyHistogram,
-    }
-    let tally = Mutex::new(Tally::default());
-    let first_error: Mutex<Option<ServeError>> = Mutex::new(None);
-
-    let t0 = Instant::now();
-    StdThreadExecutor.scope(|s| {
-        for client in 0..cfg.clients {
-            let handle = handle.clone();
-            let tally = &tally;
-            let first_error = &first_error;
-            s.spawn(move || {
-                let mut stream = QueryStream::new(
-                    handle.num_nodes(),
-                    cfg.zipf_exponent,
-                    cfg.seeds_per_query,
-                    cfg.seed,
-                    client as u64,
-                );
-                // Independent derived stream for arrival times, so the
-                // query content stream matches a same-seed replay().
-                let mut clock_rng = StdRng::seed_from_u64(mix_seed(
-                    cfg.seed ^ 0xA5A5_5A5A_F00D_CAFE,
-                    client as u64,
-                ));
-                let opts = {
-                    let o = QueryOptions::new().for_client(client as u64);
-                    match cfg.deadline {
-                        Some(d) => o.with_deadline(d),
-                        None => o,
-                    }
-                };
-
-                // Collector: waits on pending queries in submission
-                // order while the submitter keeps to its schedule.
-                let deadline = cfg.deadline;
-                let (pending_tx, pending_rx) = StdThreadExecutor.unbounded();
-                let collector = StdThreadExecutor.spawn_worker("maxk-collector", move || {
-                    let mut local = Tally::default();
-                    let mut error = None;
-                    while let Ok((pending, issued)) = pending_rx.recv() {
-                        let pending: crate::server::PendingQuery = pending;
-                        let issued: Instant = issued;
-                        match pending.wait() {
-                            Ok(QueryResponse::Answered(_)) => {
-                                let lat = issued.elapsed();
-                                let us = lat.as_micros().min(u128::from(u64::MAX)) as u64;
-                                local.answered += 1;
-                                local.hist.record(us);
-                                if deadline.is_some_and(|d| lat > d) {
-                                    local.late += 1;
-                                }
-                            }
-                            Ok(QueryResponse::Rejected(_)) => local.rejected += 1,
-                            Ok(QueryResponse::Shed(_)) => local.shed += 1,
-                            Err(e) => {
-                                error.get_or_insert(e);
-                                break;
-                            }
-                        }
-                    }
-                    (local, error)
-                });
-
-                let start = Instant::now();
-                let mut next_arrival = Duration::ZERO;
-                let mut submitted = 0u64;
-                loop {
-                    // Exponential inter-arrival: -ln(1 - u) / rate.
-                    let u: f64 = clock_rng.gen_range(0.0..1.0);
-                    next_arrival += Duration::from_secs_f64((-(1.0 - u).ln()) / per_client_rate);
-                    if next_arrival >= cfg.duration {
-                        break;
-                    }
-                    let now = start.elapsed();
-                    if next_arrival > now {
-                        std::thread::sleep(next_arrival - now);
-                    }
-                    let seeds = stream.next_query();
-                    let issued = Instant::now();
-                    match handle.request(&seeds, opts) {
-                        Ok(pending) => {
-                            submitted += 1;
-                            if pending_tx.send((pending, issued)).is_err() {
-                                break; // collector bailed on an error
-                            }
-                        }
-                        Err(e) => {
-                            let mut slot = first_error.lock().expect("error slot poisoned");
-                            slot.get_or_insert(e);
-                            break;
-                        }
-                    }
-                }
-                drop(pending_tx);
-                let (mut local, error) = collector.join().expect("collector thread");
-                local.submitted = submitted;
-                if let Some(e) = error {
-                    let mut slot = first_error.lock().expect("error slot poisoned");
-                    slot.get_or_insert(e);
-                }
-                let mut t = tally.lock().expect("tally poisoned");
-                t.submitted += local.submitted;
-                t.answered += local.answered;
-                t.rejected += local.rejected;
-                t.shed += local.shed;
-                t.late += local.late;
-                t.hist.merge(&local.hist);
-            });
-        }
-    });
-    let wall_s = t0.elapsed().as_secs_f64();
-
-    if let Some(e) = first_error.into_inner().expect("error slot poisoned") {
-        return Err(e);
-    }
-    let t = tally.into_inner().expect("tally poisoned");
-    let good = t.answered - t.late;
-    Ok(OpenLoopReport {
-        offered_qps: cfg.offered_qps,
-        submitted: t.submitted,
-        answered: t.answered,
-        rejected: t.rejected,
-        shed: t.shed,
-        late: t.late,
-        wall_s,
-        goodput_qps: if wall_s > 0.0 {
-            good as f64 / wall_s
-        } else {
-            0.0
-        },
-        latency: LatencySummary::of(&t.hist),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::{AdmissionConfig, OverloadPolicy};
     use crate::engine::InferenceEngine;
     use crate::server::Server;
     use maxk_graph::generate;
@@ -594,8 +340,8 @@ mod tests {
     #[test]
     fn query_streams_are_deterministic_and_per_client() {
         // Same (seed, client) -> identical sequence; this is what makes
-        // replay()/open_loop() traffic reproducible across thread
-        // interleavings (each thread owns exactly one stream).
+        // replay() traffic reproducible across thread interleavings
+        // (each thread owns exactly one stream).
         let take = |client: u64, seed: u64| -> Vec<Vec<u32>> {
             let mut s = QueryStream::new(500, 1.1, 3, seed, client);
             (0..50).map(|_| s.next_query()).collect()
@@ -610,7 +356,7 @@ mod tests {
         assert_ne!(take(1, 42), take(0, 43));
     }
 
-    fn test_server(window_ms: u64, max_batch: usize, admission: AdmissionConfig) -> Server {
+    fn test_server(window_ms: u64, max_batch: usize) -> Server {
         let graph = generate::chung_lu_power_law(50, 4.0, 2.3, 9)
             .to_csr()
             .unwrap();
@@ -626,13 +372,12 @@ mod tests {
             .batch_window(Duration::from_millis(window_ms))
             .max_batch(max_batch)
             .workers(1)
-            .admission(admission)
             .start(engine)
     }
 
     #[test]
     fn replay_reports_all_queries() {
-        let server = test_server(1, 16, AdmissionConfig::default());
+        let server = test_server(1, 16);
         let report = replay(
             &server.handle(),
             &LoadConfig {
@@ -656,73 +401,10 @@ mod tests {
 
     #[test]
     fn replay_surfaces_server_shutdown() {
-        let server = test_server(2, 64, AdmissionConfig::default());
+        let server = test_server(2, 64);
         let handle = server.handle();
         let _ = server.shutdown();
         let result = replay(&handle, &LoadConfig::default());
         assert!(matches!(result, Err(ServeError::ChannelClosed)));
-    }
-
-    #[test]
-    fn open_loop_books_balance() {
-        let server = test_server(1, 16, AdmissionConfig::default());
-        let report = open_loop(
-            &server.handle(),
-            &OpenLoopConfig {
-                clients: 2,
-                offered_qps: 400.0,
-                duration: Duration::from_millis(300),
-                seeds_per_query: 1,
-                zipf_exponent: 1.1,
-                seed: 11,
-                deadline: None,
-            },
-        )
-        .unwrap();
-        assert!(report.submitted > 0, "open loop submitted nothing");
-        assert_eq!(
-            report.submitted,
-            report.answered + report.rejected + report.shed,
-            "every submitted query must resolve exactly once"
-        );
-        let stats = server.shutdown();
-        assert_eq!(stats.queries, report.answered);
-        assert_eq!(stats.submitted, report.submitted);
-    }
-
-    #[test]
-    fn open_loop_sheds_under_deadline_overload() {
-        // Tiny queue + zero budget: every admitted query is blown by the
-        // time the batcher sees it, so everything is rejected or shed and
-        // no forwards run.
-        let server = test_server(
-            0,
-            4,
-            AdmissionConfig {
-                capacity: 4,
-                policy: OverloadPolicy::DeadlineShed,
-                ..AdmissionConfig::default()
-            },
-        );
-        let report = open_loop(
-            &server.handle(),
-            &OpenLoopConfig {
-                clients: 2,
-                offered_qps: 500.0,
-                duration: Duration::from_millis(200),
-                seeds_per_query: 1,
-                zipf_exponent: 1.1,
-                seed: 5,
-                deadline: Some(Duration::ZERO),
-            },
-        )
-        .unwrap();
-        assert!(report.submitted > 0);
-        assert_eq!(report.answered, 0, "zero budget must shed everything");
-        assert_eq!(report.shed, report.submitted);
-        let stats = server.shutdown();
-        assert_eq!(stats.queries, 0, "blown queries must not cost forwards");
-        assert_eq!(stats.shed, report.shed);
-        assert_eq!(stats.deadline_misses, report.shed);
     }
 }

@@ -27,14 +27,11 @@
 //!    `RwLock`; queries in flight finish against the old epoch, new
 //!    batches pick up the new one. Applies are serialized, so epochs are
 //!    strictly monotone;
-//! 4. **Dirty-cone invalidation** — under
-//!    [`InvalidationStrategy::DirtyCone`], the mutation's reverse L-hop
+//! 4. **Dirty-cone invalidation** — the mutation's reverse L-hop
 //!    dependency cone (via [`maxk_graph::Frontier`]) is computed and
 //!    exactly those [`LogitCache`] rows are dropped; every other hot row
-//!    keeps hitting across the mutation. The blunt alternative,
-//!    [`InvalidationStrategy::BumpVersion`], mints a fresh
-//!    [`GraphVersion`] per batch — correct, but every cached row goes
-//!    cold (`serve_bench --dynamic` quantifies the gap).
+//!    keeps hitting across the mutation, under an unchanged
+//!    [`GraphVersion`].
 //!
 //! # Staleness bound
 //!
@@ -48,7 +45,7 @@
 //! finished) every answer is bitwise identical to a from-scratch engine
 //! on the mutated graph, which `tests/dynamic.rs` proves differentially.
 //!
-//! # Cache soundness under DirtyCone
+//! # Cache soundness
 //!
 //! The cone is invalidated **twice**, straddling the swap: once before
 //! (dropping resident rows and poisoning in-flight leaders computing
@@ -106,17 +103,14 @@ pub enum Mutation {
     },
 }
 
-/// How an applied mutation batch reaches the logit cache.
+/// How an applied mutation batch reaches the logit cache. There is one
+/// way; the enum remains because [`DynamicEngine::new`] takes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InvalidationStrategy {
     /// Keep the [`GraphVersion`] and drop exactly the reverse L-hop
     /// dirty cone's rows — hot rows outside the cone keep hitting.
     #[default]
     DirtyCone,
-    /// Mint a fresh [`GraphVersion`] per batch; every cached row goes
-    /// cold and ages out by eviction. The baseline DirtyCone is measured
-    /// against.
-    BumpVersion,
 }
 
 /// What one [`DynamicEngine::apply`] call did.
@@ -138,8 +132,8 @@ pub struct MutationReport {
     /// Nodes in the reverse L-hop dirty cone (0 when the batch had no
     /// effect).
     pub cone_nodes: usize,
-    /// Resident cache rows dropped by dirty-cone invalidation (0 under
-    /// [`InvalidationStrategy::BumpVersion`] or with no cache attached).
+    /// Resident cache rows dropped by dirty-cone invalidation (0 with
+    /// no cache attached).
     pub rows_invalidated: u64,
 }
 
@@ -205,7 +199,6 @@ pub struct DynamicEngine {
     model: Arc<ModelSnapshot>,
     cache: OnceLock<Arc<LogitCache>>,
     recorder: OnceLock<Arc<crate::FlightRecorder>>,
-    strategy: InvalidationStrategy,
     stats: StatsInner,
     num_nodes: usize,
 }
@@ -223,7 +216,7 @@ impl DynamicEngine {
         snapshot: &ModelSnapshot,
         base: &Csr,
         features: Matrix,
-        strategy: InvalidationStrategy,
+        _strategy: InvalidationStrategy,
     ) -> Result<Self, ServeError> {
         let model = validated(snapshot)?;
         let (aggregator, self_loops) = model.config.arch.aggregation();
@@ -241,7 +234,6 @@ impl DynamicEngine {
             model,
             cache: OnceLock::new(),
             recorder: OnceLock::new(),
-            strategy,
             stats: StatsInner::default(),
             num_nodes: base.num_nodes(),
         })
@@ -260,11 +252,6 @@ impl DynamicEngine {
         let adj = graph.operand().clone();
         let ctx = GraphContext::from_normalized(adj, model.config.eg_width, version);
         InferenceEngine::with_context(Arc::clone(model), Arc::new(ctx), Arc::clone(features))
-    }
-
-    /// The configured invalidation strategy.
-    pub fn strategy(&self) -> InvalidationStrategy {
-        self.strategy
     }
 
     /// Point-in-time mutation counters.
@@ -299,7 +286,7 @@ impl DynamicEngine {
     }
 
     /// Applies one mutation batch: incremental graph/feature update, new
-    /// epoch swap, and cache invalidation per the configured strategy.
+    /// epoch swap, and dirty-cone cache invalidation.
     /// The whole batch is validated before anything is touched; an error
     /// leaves graph, features and serving state unchanged. A batch with
     /// no net effect (all no-ops) swaps nothing and keeps the epoch.
@@ -383,11 +370,9 @@ impl DynamicEngine {
             });
         }
 
-        let old_version = self.read_state().engine.graph_version();
-        let version = match self.strategy {
-            InvalidationStrategy::DirtyCone => old_version,
-            InvalidationStrategy::BumpVersion => GraphVersion::mint(),
-        };
+        // The version is kept across epochs: rows outside the cone stay
+        // reachable, rows inside it are dropped below.
+        let version = self.read_state().engine.graph_version();
         let engine = Self::epoch_engine(&self.model, &core.graph, &core.features, version)?;
 
         // Reverse L-hop dirty cone, computed on the NEW transpose. Edge
@@ -420,15 +405,13 @@ impl DynamicEngine {
             engine,
         });
 
-        // Under DirtyCone: invalidate, swap, invalidate again — the first
-        // pass stops the cone being served and poisons in-flight leaders,
-        // the second catches fills that raced the swap. BumpVersion just
-        // swaps; its fresh version makes every old row unreachable.
-        let invalidate = || match (self.strategy, self.cache.get()) {
-            (InvalidationStrategy::DirtyCone, Some(c)) => {
-                c.invalidate_seeds(self.model.generation, old_version, &cone)
-            }
-            _ => 0,
+        // Invalidate, swap, invalidate again — the first pass stops the
+        // cone being served and poisons in-flight leaders, the second
+        // catches fills that raced the swap.
+        let invalidate = || {
+            self.cache.get().map_or(0, |c| {
+                c.invalidate_seeds(self.model.generation, version, &cone)
+            })
         };
         let mut rows_invalidated = invalidate();
         *self.state.write().expect("state lock poisoned") = next;
@@ -829,44 +812,6 @@ mod tests {
     }
 
     #[test]
-    fn strategies_version_the_cache_differently() {
-        let (snapshot, graph, features) = setup(Arch::Sage);
-        let cone = DynamicEngine::new(
-            &snapshot,
-            &graph,
-            features.clone(),
-            InvalidationStrategy::DirtyCone,
-        )
-        .unwrap();
-        let bump = DynamicEngine::new(
-            &snapshot,
-            &graph,
-            features,
-            InvalidationStrategy::BumpVersion,
-        )
-        .unwrap();
-        let (vc, vb) = (
-            BatchEngine::graph_version(&cone),
-            BatchEngine::graph_version(&bump),
-        );
-        let batch = [Mutation::InsertEdge { u: 2, v: 41 }];
-        cone.apply(&batch).unwrap();
-        bump.apply(&batch).unwrap();
-        assert_eq!(
-            BatchEngine::graph_version(&cone),
-            vc,
-            "dirty-cone keeps the version"
-        );
-        assert_ne!(
-            BatchEngine::graph_version(&bump),
-            vb,
-            "bump mints a fresh version"
-        );
-        assert_eq!(BatchEngine::epoch(&cone), 1);
-        assert_eq!(BatchEngine::epoch(&bump), 1);
-    }
-
-    #[test]
     fn dirty_cone_invalidates_bound_cache() {
         let (snapshot, graph, features) = setup(Arch::Sage);
         let dynamic = Arc::new(
@@ -884,12 +829,19 @@ mod tests {
             &all,
             &logits,
         );
+        let version = BatchEngine::graph_version(&*dynamic);
         let report = dynamic
             .apply(&[Mutation::WriteFeature {
                 node: 7,
                 values: vec![1.0; 6],
             }])
             .unwrap();
+        assert_eq!(
+            BatchEngine::graph_version(&*dynamic),
+            version,
+            "an effective apply keeps the version"
+        );
+        assert_eq!(BatchEngine::epoch(&*dynamic), 1);
         assert!(report.rows_invalidated > 0);
         assert_eq!(report.rows_invalidated, report.cone_nodes as u64);
         let snap = cache.snapshot();

@@ -38,11 +38,10 @@
 //! Each batch costs **one** engine forward regardless of how many queries
 //! it carries, so coalescing multiplies throughput by the mean batch
 //! occupancy — the serving-side analogue of the paper's full-batch
-//! aggregation amortization (`max_batch = 1`, window 0 is the
-//! one-query-per-forward baseline `serve_bench` compares against). The
-//! opt-in logit cache ([`ServerBuilder::cache`]) reuses rows *across*
-//! batches, keyed by `(SnapshotGeneration, GraphVersion, seed)`; its
-//! counters exactly account for every answered seed instance
+//! aggregation amortization (`max_batch = 1`, window 0 is one query per
+//! forward). The opt-in logit cache ([`ServerBuilder::cache`]) reuses
+//! rows *across* batches, keyed by `(SnapshotGeneration, GraphVersion,
+//! seed)`; its counters exactly account for every answered seed instance
 //! ([`StatsSnapshot::cache`]).
 //!
 //! The engine behind [`BatchEngine::forward_union`] decides how the union
@@ -565,14 +564,6 @@ pub struct ServerBuilder {
 }
 
 impl ServerBuilder {
-    /// Replaces the whole configuration at once (escape hatch for a
-    /// prebuilt [`ServeConfig`]).
-    #[must_use]
-    pub fn config(mut self, cfg: ServeConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
     /// How long the batcher keeps a batch open after its first query.
     #[must_use]
     pub fn batch_window(mut self, window: Duration) -> Self {
@@ -712,11 +703,6 @@ impl ServerBuilder {
     pub fn incident_sink(mut self, dir: impl Into<PathBuf>) -> Self {
         self.sink = Some(dir.into());
         self
-    }
-
-    /// The assembled configuration (inspectable before starting).
-    pub fn build_config(&self) -> ServeConfig {
-        self.cfg
     }
 
     /// Starts the server over `engine` — the single

@@ -4,10 +4,10 @@
 //! A [`HealthReport`] is a list of named pass/fail checks (engine bound,
 //! queue below derived capacity, shutdown barrier not tripped, no SLO
 //! breach); the endpoint maps it to `200 ok` / `503 degraded` so load
-//! balancers and `serve_bench` can poll one boolean while operators read
-//! the per-check detail. The [`JsonObj`] builder keeps the hand-rolled
-//! JSON in `/debug/state` (and the health body) structurally valid
-//! without a serialization dependency.
+//! balancers can poll one boolean while operators read the per-check
+//! detail. The [`JsonObj`] builder keeps the hand-rolled JSON in
+//! `/debug/state` (and the health body) structurally valid without a
+//! serialization dependency.
 
 use std::fmt::Write as _;
 

@@ -24,8 +24,8 @@
 //! queries); tracing costs nothing for unsampled queries (the sampler is
 //! one relaxed atomic increment) and a handful of ring writes at reply
 //! for sampled ones; kernel timing is per *batch*, two `Instant` reads
-//! per kernel call. `serve_bench --telemetry-sweep` measures the total
-//! against `--telemetry-off`.
+//! per kernel call. The repo benchmark reports the total as
+//! `serve.trace_overhead_pct` (`benchmark/`, traced pass).
 
 pub mod export;
 pub mod health;
@@ -52,8 +52,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryConfig {
     /// Master switch. When `false` the server allocates no telemetry
-    /// state at all — the zero-overhead baseline `serve_bench
-    /// --telemetry-off` measures against.
+    /// state at all.
     pub enabled: bool,
     /// Fraction of queries that carry a full [`TraceContext`] (span
     /// recording). `0.0` disables tracing, `1.0` traces everything;

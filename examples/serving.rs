@@ -190,8 +190,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    policy. A one-slot RejectNewest queue fed an instant burst of
     //    non-blocking submissions turns the excess away *at the door* —
     //    callers see QueryResponse::Rejected instead of waiting on an
-    //    unbounded queue (see `serve_bench --offered ...` and
-    //    BENCH_admission.json for the full open-loop overload sweep).
+    //    unbounded queue (tests/admission.rs pins the books of every
+    //    policy).
     let server = Server::builder()
         .batch_window(Duration::ZERO)
         .max_batch(1)

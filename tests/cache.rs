@@ -20,6 +20,7 @@ use maxk_gnn::tensor::Matrix;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -236,6 +237,11 @@ proptest! {
             let cache = stats.cache.expect("cache enabled");
             // Per-instance accounting must be exact.
             prop_assert_eq!(cache.hits + cache.misses + cache.coalesced, answered_instances);
+            // Nothing evicted: each seed was computed exactly once.
+            if cache.evictions == 0 {
+                let distinct: BTreeSet<u32> = queries.iter().flatten().copied().collect();
+                prop_assert_eq!(cache.misses, distinct.len() as u64);
+            }
         }
     }
 }

@@ -115,8 +115,8 @@ fn planner_prefers_partial_for_small_batches_and_full_for_saturating_ones() {
 
 #[test]
 fn partial_forward_on_dataset_standin() {
-    // End-to-end on the Flickr stand-in used by serve_bench: a small
-    // trained model must serve bitwise-equal partial logits.
+    // End-to-end on the Flickr stand-in: a small trained model must
+    // serve bitwise-equal partial logits.
     let data = TrainingDataset::Flickr.generate(Scale::Test, 42).unwrap();
     let mut cfg = ModelConfig::new(
         Arch::Sage,

@@ -147,8 +147,8 @@ fn sharded_server_round_trip_matches_single_engine() {
 
 #[test]
 fn sharded_serving_on_dataset_standin() {
-    // End-to-end on the Flickr stand-in serve_bench uses: shard the
-    // trained snapshot 2 ways and verify a spread seed sample bitwise.
+    // End-to-end on the Flickr stand-in: shard the trained snapshot
+    // 2 ways and verify a spread seed sample bitwise.
     let data = TrainingDataset::Flickr.generate(Scale::Test, 42).unwrap();
     let mut cfg = ModelConfig::new(
         Arch::Sage,
