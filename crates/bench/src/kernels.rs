@@ -36,11 +36,6 @@ impl CpuKernelTimings {
         self.spmm_s / self.sspmm_s
     }
 
-    /// Forward-kernel speedup over the GNNAdvisor-style baseline.
-    pub fn spgemm_speedup_vs_gnna(&self) -> f64 {
-        self.gnnadvisor_s / self.spgemm_s
-    }
-
     /// Backward-kernel speedup over the GNNAdvisor-style baseline.
     pub fn sspmm_speedup_vs_gnna(&self) -> f64 {
         self.gnnadvisor_s / self.sspmm_s

@@ -8,10 +8,13 @@
 //!
 //! When `dim_origin <= 256` the indices fit in `u8`, which is what the
 //! paper's 5-bytes-per-element traffic term assumes; wider feature maps
-//! fall back to `u16`.
+//! fall back to `u16`. The width is named in this module only: a kernel
+//! resolves it once per call (`with_index!`) and runs the row primitives
+//! below over `(values, columns)` slices at the concrete width.
 
 use crate::{KernelError, Result};
-use maxk_tensor::Matrix;
+use maxk_tensor::{parallel, Matrix};
+use std::fmt::Debug;
 
 /// Index storage for CBSR: one byte per element when the original hidden
 /// dimension allows it, two otherwise.
@@ -23,6 +26,50 @@ pub enum SpIndex {
     U16(Vec<u16>),
 }
 
+/// Evaluates `$body` with `$index` bound to the `Vec<u8>` or `Vec<u16>`
+/// inside `$sp` (a `&SpIndex` or `&mut SpIndex`): the one place the width
+/// is resolved. Invoked once per kernel call, outside every loop, so the
+/// code inside is monomorphic in the width.
+macro_rules! with_index {
+    ($sp:expr, |$index:ident| $body:expr) => {
+        match $sp {
+            $crate::cbsr::SpIndex::U8($index) => $body,
+            $crate::cbsr::SpIndex::U16($index) => $body,
+        }
+    };
+}
+pub(crate) use with_index;
+
+/// `(values, columns)` of row `r` of `c`, whose index array `index` came
+/// out of [`with_index!`].
+#[inline]
+pub(crate) fn row<'a, I>(c: &'a Cbsr, index: &'a [I], r: usize) -> (&'a [f32], &'a [I]) {
+    let span = r * c.k..(r + 1) * c.k;
+    (&c.sp_data[span.clone()], &index[span])
+}
+
+/// `buf[cols[t]] += e · vals[t]` over one row: the forward product's
+/// inner loop and every dense expansion.
+#[inline]
+pub(crate) fn scatter_axpy<I: Copy + Into<usize>>(
+    buf: &mut [f32],
+    e: f32,
+    (vals, cols): (&[f32], &[I]),
+) {
+    for (&v, &c) in vals.iter().zip(cols) {
+        buf[c.into()] += e * v;
+    }
+}
+
+/// `out[t] += e · src[cols[t]]` over one row: the backward product's
+/// inner loop and every gather through a known pattern.
+#[inline]
+pub(crate) fn gather_axpy<I: Copy + Into<usize>>(out: &mut [f32], e: f32, src: &[f32], cols: &[I]) {
+    for (o, &c) in out.iter_mut().zip(cols) {
+        *o += e * src[c.into()];
+    }
+}
+
 /// Bytes per stored index of a `dim_origin`-wide matrix.
 fn index_width(dim_origin: usize) -> usize {
     if dim_origin <= 256 {
@@ -30,6 +77,14 @@ fn index_width(dim_origin: usize) -> usize {
     } else {
         2
     }
+}
+
+/// `rows` copies of the index row `0, 1, .., k - 1`.
+fn identity_rows<I: Copy + TryFrom<usize, Error: Debug>>(rows: usize, k: usize) -> Vec<I> {
+    let row: Vec<I> = (0..k)
+        .map(|t| I::try_from(t).expect("k fits the index width"))
+        .collect();
+    row.repeat(rows)
 }
 
 /// The `k`-wide chunks `rows[r] * k .. (rows[r] + 1) * k` of `v`,
@@ -42,29 +97,18 @@ fn gather_chunks<T: Copy>(v: &[T], k: usize, rows: &[usize]) -> Vec<T> {
     out
 }
 
+/// Overwrites chunk `rows[s]` of `dst` with chunk `s` of `src` — the
+/// inverse of [`gather_chunks`].
+fn scatter_chunks<T: Copy>(dst: &mut [T], k: usize, rows: &[usize], src: &[T]) {
+    for (&r, chunk) in rows.iter().zip(src.chunks_exact(k)) {
+        dst[r * k..(r + 1) * k].copy_from_slice(chunk);
+    }
+}
+
 impl SpIndex {
-    fn with_capacity(dim_origin: usize, len: usize) -> Self {
-        if index_width(dim_origin) == 1 {
-            SpIndex::U8(vec![0u8; len])
-        } else {
-            SpIndex::U16(vec![0u16; len])
-        }
-    }
-
-    /// The indices of rows `rows` of an `N × k` layout, in that order.
-    fn gather_rows(&self, k: usize, rows: &[usize]) -> Self {
-        match self {
-            SpIndex::U8(v) => SpIndex::U8(gather_chunks(v, k, rows)),
-            SpIndex::U16(v) => SpIndex::U16(gather_chunks(v, k, rows)),
-        }
-    }
-
     /// Number of stored indices.
     pub fn len(&self) -> usize {
-        match self {
-            SpIndex::U8(v) => v.len(),
-            SpIndex::U16(v) => v.len(),
-        }
+        with_index!(self, |v| v.len())
     }
 
     /// True when no indices are stored.
@@ -78,32 +122,6 @@ impl SpIndex {
         match self {
             SpIndex::U8(_) => 1,
             SpIndex::U16(_) => 2,
-        }
-    }
-
-    /// Index at flat position `p`.
-    #[inline]
-    pub fn get(&self, p: usize) -> usize {
-        match self {
-            SpIndex::U8(v) => v[p] as usize,
-            SpIndex::U16(v) => v[p] as usize,
-        }
-    }
-
-    /// Sets flat position `p` to `value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` does not fit the index width.
-    #[inline]
-    pub fn set(&mut self, p: usize, value: usize) {
-        match self {
-            SpIndex::U8(v) => {
-                v[p] = u8::try_from(value).expect("index exceeds u8 range");
-            }
-            SpIndex::U16(v) => {
-                v[p] = u16::try_from(value).expect("index exceeds u16 range");
-            }
         }
     }
 }
@@ -149,20 +167,18 @@ impl Cbsr {
         assert!(k > 0, "k must be positive");
         assert!(k <= dim_origin, "k must not exceed dim_origin");
         assert!(dim_origin <= 65_536, "dim_origin above u16 index range");
-        let mut c = Cbsr {
+        Cbsr {
             num_rows,
             dim_origin,
             k,
             sp_data: vec![0.0; num_rows * k],
-            sp_index: SpIndex::with_capacity(dim_origin, num_rows * k),
-        };
-        // Default indices 0,1,..,k-1 keep rows structurally valid.
-        for r in 0..num_rows {
-            for t in 0..k {
-                c.sp_index.set(r * k + t, t);
-            }
+            // Default indices 0,1,..,k-1 keep rows structurally valid.
+            sp_index: if index_width(dim_origin) == 1 {
+                SpIndex::U8(identity_rows(num_rows, k))
+            } else {
+                SpIndex::U16(identity_rows(num_rows, k))
+            },
         }
-        c
     }
 
     /// Number of rows (nodes).
@@ -204,7 +220,7 @@ impl Cbsr {
     #[inline]
     pub fn index_at(&self, r: usize, t: usize) -> usize {
         debug_assert!(t < self.k);
-        self.sp_index.get(r * self.k + t)
+        with_index!(&self.sp_index, |v| v[r * self.k + t] as usize)
     }
 
     /// Sets slot `t` of row `r` to `(column, value)`.
@@ -219,7 +235,8 @@ impl Cbsr {
         );
         assert!(column < self.dim_origin, "column {column} out of range");
         self.sp_data[r * self.k + t] = value;
-        self.sp_index.set(r * self.k + t, column);
+        with_index!(&mut self.sp_index, |v| v[r * self.k + t] =
+            column.try_into().expect("dim_origin fits the index width"));
     }
 
     /// Internal: simultaneous mutable access to `sp_data` and `sp_index`
@@ -253,7 +270,10 @@ impl Cbsr {
             dim_origin: self.dim_origin,
             k: self.k,
             sp_data: gather_chunks(&self.sp_data, self.k, rows),
-            sp_index: self.sp_index.gather_rows(self.k, rows),
+            sp_index: match &self.sp_index {
+                SpIndex::U8(v) => SpIndex::U8(gather_chunks(v, self.k, rows)),
+                SpIndex::U16(v) => SpIndex::U16(gather_chunks(v, self.k, rows)),
+            },
         }
     }
 
@@ -271,12 +291,11 @@ impl Cbsr {
             "CBSR shapes differ"
         );
         assert_eq!(rows.len(), src.num_rows, "one target row per source row");
-        let k = self.k;
-        for (s, &r) in rows.iter().enumerate() {
-            self.sp_data[r * k..(r + 1) * k].copy_from_slice(src.row_data(s));
-            for t in 0..k {
-                self.sp_index.set(r * k + t, src.index_at(s, t));
-            }
+        scatter_chunks(&mut self.sp_data, self.k, rows, &src.sp_data);
+        match (&mut self.sp_index, &src.sp_index) {
+            (SpIndex::U8(d), SpIndex::U8(s)) => scatter_chunks(d, self.k, rows, s),
+            (SpIndex::U16(d), SpIndex::U16(s)) => scatter_chunks(d, self.k, rows, s),
+            _ => unreachable!("equal dim_origin means equal index width"),
         }
     }
 
@@ -307,13 +326,43 @@ impl Cbsr {
     /// Expands to a dense `N × dim_origin` matrix.
     pub fn to_dense(&self) -> Matrix {
         let mut out = Matrix::zeros(self.num_rows, self.dim_origin);
-        for r in 0..self.num_rows {
-            let row = out.row_mut(r);
-            for t in 0..self.k {
-                row[self.index_at(r, t)] = self.sp_data[r * self.k + t];
-            }
-        }
+        self.scatter_axpy(1.0, &mut out);
         out
+    }
+
+    /// `out[r, col(r, t)] += e · self[r, t]`: accumulates the scaled dense
+    /// expansion into `out`, slot order within a row.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out` is not `num_rows × dim_origin`.
+    pub fn scatter_axpy(&self, e: f32, out: &mut Matrix) {
+        let dim = self.dim_origin;
+        assert_eq!(out.shape(), (self.num_rows, dim), "shape mismatch");
+        with_index!(&self.sp_index, |index| {
+            parallel::par_rows_mut(out.data_mut(), dim, 64, |first_row, chunk| {
+                for (local, buf) in chunk.chunks_mut(dim).enumerate() {
+                    scatter_axpy(buf, e, row(self, index, first_row + local));
+                }
+            });
+        });
+    }
+
+    /// `self[r, t] += e · src[r, col(r, t)]`: accumulates the entries of a
+    /// dense matrix that fall on this matrix's pattern.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `src` is not `num_rows × dim_origin`.
+    pub fn gather_axpy(&mut self, e: f32, src: &Matrix) {
+        assert_eq!(src.rows(), self.num_rows, "row count mismatch");
+        assert_eq!(src.cols(), self.dim_origin, "dim mismatch");
+        with_index!(&self.sp_index, |index| {
+            let rows = self.sp_data.chunks_mut(self.k).zip(index.chunks(self.k));
+            for (r, (out, cols)) in rows.enumerate() {
+                gather_axpy(out, e, src.row(r), cols);
+            }
+        });
     }
 
     /// A zero-valued CBSR sharing this matrix's sparsity pattern — the

@@ -9,7 +9,7 @@
 //! [`spgemm_forward`](crate::spgemm::spgemm_forward) but pays the
 //! sort/compress cost per output row (see the `ablation_esc` bench group).
 
-use crate::cbsr::Cbsr;
+use crate::cbsr::{row, with_index, Cbsr};
 use maxk_graph::Csr;
 use maxk_tensor::{parallel, Matrix};
 
@@ -88,46 +88,45 @@ pub fn spgemm_esc(adj: &Csr, xs: &Cbsr) -> SparseRows {
         "CBSR rows must match graph nodes"
     );
     let n = adj.num_nodes();
-    let k = xs.k();
-    let sp_data = xs.sp_data();
     // Per-chunk row assembly, stitched afterwards.
-    let chunks = parallel::par_row_map(n, 16, |lo, hi| {
-        let mut row_ptr_local = Vec::with_capacity(hi - lo + 1);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        let mut scratch: Vec<(u32, f32)> = Vec::new();
-        row_ptr_local.push(0usize);
-        for i in lo..hi {
-            // Expand.
-            scratch.clear();
-            let (cols, vals) = adj.row(i);
-            for (&j, &e) in cols.iter().zip(vals) {
-                let j = j as usize;
-                for t in 0..k {
-                    scratch.push((xs.index_at(j, t) as u32, e * sp_data[j * k + t]));
+    let chunks = with_index!(xs.sp_index(), |index| {
+        parallel::par_row_map(n, 16, |lo, hi| {
+            let mut row_ptr_local = Vec::with_capacity(hi - lo + 1);
+            let mut col_idx = Vec::new();
+            let mut values = Vec::new();
+            let mut scratch: Vec<(u32, f32)> = Vec::new();
+            row_ptr_local.push(0usize);
+            for i in lo..hi {
+                // Expand.
+                scratch.clear();
+                let (cols, vals) = adj.row(i);
+                for (&j, &e) in cols.iter().zip(vals) {
+                    let (row_vals, row_cols) = row(xs, index, j as usize);
+                    let pairs = row_cols.iter().zip(row_vals);
+                    scratch.extend(pairs.map(|(&c, &v)| (u32::from(c), e * v)));
                 }
-            }
-            // Sort.
-            scratch.sort_unstable_by_key(|&(c, _)| c);
-            // Compress.
-            let mut iter = scratch.iter().copied();
-            if let Some((mut cur_c, mut cur_v)) = iter.next() {
-                for (c, v) in iter {
-                    if c == cur_c {
-                        cur_v += v;
-                    } else {
-                        col_idx.push(cur_c);
-                        values.push(cur_v);
-                        cur_c = c;
-                        cur_v = v;
+                // Sort.
+                scratch.sort_unstable_by_key(|&(c, _)| c);
+                // Compress.
+                let mut iter = scratch.iter().copied();
+                if let Some((mut cur_c, mut cur_v)) = iter.next() {
+                    for (c, v) in iter {
+                        if c == cur_c {
+                            cur_v += v;
+                        } else {
+                            col_idx.push(cur_c);
+                            values.push(cur_v);
+                            cur_c = c;
+                            cur_v = v;
+                        }
                     }
+                    col_idx.push(cur_c);
+                    values.push(cur_v);
                 }
-                col_idx.push(cur_c);
-                values.push(cur_v);
+                row_ptr_local.push(col_idx.len());
             }
-            row_ptr_local.push(col_idx.len());
-        }
-        (row_ptr_local, col_idx, values)
+            (row_ptr_local, col_idx, values)
+        })
     });
 
     let mut row_ptr = Vec::with_capacity(n + 1);

@@ -3,10 +3,12 @@
 //! This crate implements, from scratch:
 //!
 //! * the **CBSR** (Compressed Balanced Sparse Row) feature format
-//!   ([`cbsr`]) — `sp_data` + `sp_index` stored per node, §3.2;
+//!   ([`cbsr`]) — `sp_data` + `sp_index` stored per node, §3.2 — with the
+//!   `u8`/`u16` index decision and the per-row scatter/gather loops every
+//!   kernel below runs;
 //! * the **MaxK nonlinearity** ([`maxk`]) — top-`k` selection per node
 //!   embedding with the paper's pivot-bisection kernel and its gradient
-//!   (scatter through the forward sparsity pattern);
+//!   ([`Cbsr::to_dense`] through the forward sparsity pattern);
 //! * the **forward row-wise-product SpGEMM kernel** ([`spgemm`]) —
 //!   Algorithm 1: Edge-Group partitioning, shared-memory sparse
 //!   accumulation buffer, coalesced atomic write-back;
@@ -15,11 +17,12 @@
 //!   accumulation into `sp_data`;
 //! * the **SpMM baselines** it is compared against ([`spmm`]) — a
 //!   cuSPARSE-style row-wise kernel and a GNNAdvisor-style
-//!   neighbor-grouped kernel;
-//! * the **row-subset serving kernels** ([`subset`]) — `spmm_rows` /
-//!   `sspmm_rows` compute only a requested output-row set over a
-//!   frontier-compacted operand, bitwise-matching the full kernels'
-//!   rows (the seed-restricted partial-forward hot path);
+//!   neighbor-grouped kernel — beside the one CSR row walk
+//!   (`spmm::aggregate_rows`) every row-wise kernel but SpGEMM calls;
+//! * the **row-subset serving kernels** ([`subset`]) — that walk at a
+//!   requested output-row set over a frontier-compacted operand, so
+//!   bitwise equal to the full kernels' rows (the seed-restricted
+//!   partial-forward hot path);
 //! * the §4.3 closed-form **traffic model** ([`traffic`]);
 //! * **simulated GPU versions** of all kernels ([`sim_kernels`]) that
 //!   replay each kernel's memory-access trace through
@@ -130,3 +133,137 @@ impl Error for KernelError {}
 
 /// Convenience alias for results in this crate.
 pub type Result<T, E = KernelError> = std::result::Result<T, E>;
+
+#[cfg(test)]
+/// The accumulation-order contract: every aggregation kernel equals, bit
+/// for bit, a straight-line serial loop in CSR order then slot order.
+/// Kernel refactors (shared primitives, index-width monomorphisation,
+/// nonzero-balanced chunking) have to keep these equalities.
+mod accumulation_order {
+    use crate::maxk::{maxk_backward, maxk_forward};
+    use crate::spgemm::spgemm_forward;
+    use crate::spmm::spmm_rowwise;
+    use crate::sspmm::sspmm_backward;
+    use crate::subset::{spmm_rows, sspmm_rows};
+    use crate::Cbsr;
+    use maxk_graph::{generate, normalize, Aggregator, Csr, Frontier, NodeSet, WarpPartition};
+    use maxk_tensor::Matrix;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// `Y[r,:] = Σ_j A[out[r], j] · X[col(j),:]`, one scalar at a time.
+    fn serial_spmm(adj: &Csr, x: &Matrix, out: &[u32], col: impl Fn(u32) -> usize) -> Matrix {
+        let mut y = Matrix::zeros(out.len(), x.cols());
+        for (r, &i) in out.iter().enumerate() {
+            let (cols, vals) = adj.row(i as usize);
+            for (&j, &e) in cols.iter().zip(vals) {
+                for d in 0..x.cols() {
+                    let acc = y.get(r, d) + e * x.get(col(j), d);
+                    y.set(r, d, acc);
+                }
+            }
+        }
+        y
+    }
+
+    /// `Y[r, idx(c,t)] += A[out[r], j] · Xs[c,t]` with `c = col(j)`.
+    fn serial_spgemm(adj: &Csr, xs: &Cbsr, out: &[u32], col: impl Fn(u32) -> usize) -> Matrix {
+        let mut y = Matrix::zeros(out.len(), xs.dim_origin());
+        for (r, &i) in out.iter().enumerate() {
+            let (cols, vals) = adj.row(i as usize);
+            for (&j, &e) in cols.iter().zip(vals) {
+                let c = col(j);
+                for t in 0..xs.k() {
+                    let acc = y.get(r, xs.index_at(c, t)) + e * xs.row_data(c)[t];
+                    y.set(r, xs.index_at(c, t), acc);
+                }
+            }
+        }
+        y
+    }
+
+    /// `dXs[i,t] = Σ_j Aᵀ[i,j] · dXl[j, idx(i,t)]`.
+    fn serial_sspmm_backward(adj_t: &Csr, dxl: &Matrix, pattern: &Cbsr) -> Cbsr {
+        let k = pattern.k();
+        let mut out = pattern.zeros_like_pattern();
+        for i in 0..adj_t.num_nodes() {
+            let (cols, vals) = adj_t.row(i);
+            for (&j, &e) in cols.iter().zip(vals) {
+                for t in 0..k {
+                    out.sp_data_mut()[i * k + t] += e * dxl.get(j as usize, pattern.index_at(i, t));
+                }
+            }
+        }
+        out
+    }
+
+    fn serial_scatter(dy: &Cbsr) -> Matrix {
+        let mut out = Matrix::zeros(dy.num_rows(), dy.dim_origin());
+        for r in 0..dy.num_rows() {
+            for t in 0..dy.k() {
+                out.set(r, dy.index_at(r, t), dy.row_data(r)[t]);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn kernels_equal_serial_csr_order_slot_order_loops() {
+        let n = 400;
+        let csr = generate::chung_lu_power_law(n, 6.0, 2.1, 3)
+            .to_csr()
+            .unwrap();
+        let adj = normalize::normalized(&csr, Aggregator::SageMean);
+        let adj_t = adj.transpose();
+        let empty = (0..n).find(|&i| adj.degree(i) == 0).expect("an empty row") as u32;
+        let hub = (0..n).find(|&i| adj.degree(i) > 32).expect("a hub row") as u32;
+        let all: Vec<u32> = (0..n as u32).collect();
+        let frontier = Frontier::reverse_hops(&adj, &[empty, hub, 7, 311], 1).unwrap();
+        let (out, ins) = (frontier.seeds(), frontier.inputs());
+        let compact = |j: u32| ins.compact(j).unwrap();
+
+        // The last u8 index width and the first u16 one.
+        for dim in [256, 257] {
+            let mut rng = StdRng::seed_from_u64(dim as u64);
+            let x = Matrix::xavier(n, dim, &mut rng);
+            let xs = maxk_forward(&x, 12).unwrap();
+            let dxl = Matrix::xavier(n, dim, &mut rng);
+
+            assert_eq!(
+                spmm_rowwise(&adj, &x),
+                serial_spmm(&adj, &x, &all, |j| j as usize)
+            );
+            let full = serial_spgemm(&adj, &xs, &all, |j| j as usize);
+            for w in [4, 32] {
+                let part = WarpPartition::build(&adj, w);
+                assert_eq!(spgemm_forward(&adj, &xs, &part), full, "EG width {w}");
+            }
+            assert_eq!(
+                sspmm_backward(&adj_t, &dxl, &xs),
+                serial_sspmm_backward(&adj_t, &dxl, &xs)
+            );
+            assert_eq!(maxk_backward(&xs), serial_scatter(&xs));
+
+            let rows: Vec<usize> = ins.ids().iter().map(|&id| id as usize).collect();
+            let x_in = Matrix::from_vec(
+                rows.len(),
+                dim,
+                rows.iter().flat_map(|&r| x.row(r).to_vec()).collect(),
+            )
+            .unwrap();
+            assert_eq!(
+                spmm_rows(&adj, &x_in, out, ins),
+                serial_spmm(&adj, &x_in, out.ids(), compact)
+            );
+            let xs_in = xs.gather_rows(&rows);
+            assert_eq!(
+                sspmm_rows(&adj, &xs_in, out, ins),
+                serial_spgemm(&adj, &xs_in, out.ids(), compact)
+            );
+            assert_eq!(
+                sspmm_rows(&adj, &xs, out, &NodeSet::full(n)),
+                serial_spgemm(&adj, &xs, out.ids(), |j| j as usize)
+            );
+        }
+    }
+}

@@ -4,8 +4,8 @@
 //! (by value, sign preserved — Fig. 5 shows negative survivors) and zero
 //! the rest, emitting the [`Cbsr`] representation directly. Backward: the
 //! feature gradient reuses the forward sparsity pattern, so the gradient
-//! of the dense pre-activation is a scatter of the CBSR gradient values
-//! through `sp_index`.
+//! of the dense pre-activation is the dense expansion of the CBSR
+//! gradient — [`Cbsr::to_dense`].
 //!
 //! Two selection kernels are provided:
 //!
@@ -17,10 +17,10 @@
 //!   counts, reproducing the paper's "usually converges in less than 10
 //!   iterations" claim.
 
-use crate::cbsr::{Cbsr, SpIndex};
+use crate::cbsr::{with_index, Cbsr};
 use crate::{KernelError, Result};
 use maxk_tensor::{parallel, Matrix};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::fmt::Debug;
 
 /// Default iteration cap for the pivot kernel (the paper's bound).
 pub const PIVOT_MAX_ITERS: usize = 10;
@@ -92,41 +92,24 @@ pub fn maxk_forward_pivot(x: &Matrix, k: usize) -> Result<(Cbsr, SelectionStats)
 }
 
 /// Backward of MaxK: scatters the CBSR gradient into the dense gradient of
-/// the pre-activation (zero where the forward zeroed).
+/// the pre-activation (zero where the forward zeroed) —
+/// [`Cbsr::to_dense`] under the name the gradient flow reads it by.
 #[must_use]
 pub fn maxk_backward(dy: &Cbsr) -> Matrix {
-    let n = dy.num_rows();
-    let dim = dy.dim_origin();
-    let k = dy.k();
-    let mut out = Matrix::zeros(n, dim);
-    let data = dy.sp_data();
-    parallel::par_rows_mut(out.data_mut(), dim, 64, |first_row, chunk| {
-        for (local, row) in chunk.chunks_mut(dim).enumerate() {
-            let r = first_row + local;
-            for t in 0..k {
-                row[dy.index_at(r, t)] = data[r * k + t];
-            }
-        }
-    });
-    out
+    dy.to_dense()
 }
 
 /// Gathers dense values at an existing CBSR sparsity pattern (testing and
 /// ablation helper: `gather(dense(x), pattern) == x` when the pattern came
 /// from `x`).
+///
+/// # Panics
+///
+/// Panics when `x` is not `pattern.num_rows() × pattern.dim_origin()`.
 #[must_use]
 pub fn gather_with_pattern(x: &Matrix, pattern: &Cbsr) -> Cbsr {
-    assert_eq!(x.rows(), pattern.num_rows(), "row count mismatch");
-    assert_eq!(x.cols(), pattern.dim_origin(), "dim mismatch");
     let mut out = pattern.zeros_like_pattern();
-    let k = out.k();
-    for r in 0..out.num_rows() {
-        let row = x.row(r);
-        for t in 0..k {
-            let c = out.index_at(r, t);
-            out.sp_data_mut()[r * k + t] = row[c];
-        }
-    }
+    out.gather_axpy(1.0, x);
     out
 }
 
@@ -147,135 +130,70 @@ enum Mode {
 }
 
 fn select(x: &Matrix, k: usize, mode: Mode) -> (Cbsr, SelectionStats) {
-    let n = x.rows();
-    let dim = x.cols();
-    let mut out = Cbsr::zeros(n, dim, k);
-    let total_iters = AtomicU64::new(0);
-    let fallbacks = AtomicU64::new(0);
-
-    // Split the two output arrays into matching row chunks and fill them
-    // in parallel. The enum match keeps index-width generic code out of
-    // the hot loop.
+    let mut out = Cbsr::zeros(x.rows(), x.cols(), k);
     let (sp_data, sp_index) = out.data_and_index_mut();
-    match sp_index {
-        SpIndex::U8(idx) => fill_rows(
-            x,
-            k,
-            sp_data,
-            idx.as_mut_slice(),
-            mode,
-            &total_iters,
-            &fallbacks,
-        ),
-        SpIndex::U16(idx) => fill_rows(
-            x,
-            k,
-            sp_data,
-            idx.as_mut_slice(),
-            mode,
-            &total_iters,
-            &fallbacks,
-        ),
-    }
-
+    let per_chunk = with_index!(sp_index, |index| fill_rows(x, k, sp_data, index, mode));
     let stats = SelectionStats {
-        rows: n as u64,
-        total_iterations: total_iters.into_inner(),
-        fallbacks: fallbacks.into_inner(),
+        rows: x.rows() as u64,
+        total_iterations: per_chunk.iter().map(|&(iters, _)| iters).sum(),
+        fallbacks: per_chunk.iter().map(|&(_, fallbacks)| fallbacks).sum(),
     };
     (out, stats)
 }
 
-trait IndexElem: Copy + Send {
-    fn from_usize(v: usize) -> Self;
-}
-
-impl IndexElem for u8 {
-    fn from_usize(v: usize) -> Self {
-        u8::try_from(v).expect("index exceeds u8")
-    }
-}
-
-impl IndexElem for u16 {
-    fn from_usize(v: usize) -> Self {
-        u16::try_from(v).expect("index exceeds u16")
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn fill_rows<I: IndexElem>(
+/// Fills matching row chunks of the two output arrays in parallel;
+/// returns each chunk's `(bisection iterations, exact fallbacks)`.
+fn fill_rows<I: Copy + Send + TryFrom<usize, Error: Debug>>(
     x: &Matrix,
     k: usize,
     sp_data: &mut [f32],
     sp_index: &mut [I],
     mode: Mode,
-    total_iters: &AtomicU64,
-    fallbacks: &AtomicU64,
-) {
-    let n = x.rows();
+) -> Vec<(u64, u64)> {
     let dim = x.cols();
-    let threads = parallel::num_threads();
-    let chunk = n.div_ceil(threads).max(8);
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        let mut data_rest = sp_data;
-        let mut index_rest = sp_index;
-        let mut start = 0;
-        while start < n {
-            let end = (start + chunk).min(n);
-            let rows = end - start;
-            let (dhead, dtail) = data_rest.split_at_mut(rows * k);
-            let (ihead, itail) = index_rest.split_at_mut(rows * k);
-            data_rest = dtail;
-            index_rest = itail;
-            let first = start;
-            let handle = s.spawn(move || {
-                let mut chosen = vec![false; dim];
-                let mut order: Vec<u32> = (0..dim as u32).collect();
-                let mut iters_local = 0u64;
-                let mut fallbacks_local = 0u64;
-                for local in 0..rows {
-                    let row = x.row(first + local);
-                    let (used_fallback, iters) = match mode {
-                        Mode::Exact => {
-                            exact_select(row, k, &mut chosen, &mut order);
-                            (false, 0)
-                        }
-                        Mode::Pivot { max_iters } => {
-                            pivot_select(row, k, max_iters, &mut chosen, &mut order)
-                        }
-                    };
-                    iters_local += iters as u64;
-                    if used_fallback {
-                        fallbacks_local += 1;
+    parallel::run_chunks(
+        x.rows(),
+        8,
+        (sp_data, sp_index),
+        |(data, index), rows| {
+            (
+                parallel::split_front(data, rows * k),
+                parallel::split_front(index, rows * k),
+            )
+        },
+        |first, _, (data, index)| {
+            let mut chosen = vec![false; dim];
+            let mut order: Vec<u32> = (0..dim as u32).collect();
+            let (mut iters, mut fallbacks) = (0u64, 0u64);
+            let rows = data.chunks_mut(k).zip(index.chunks_mut(k));
+            for (local, (vals, cols)) in rows.enumerate() {
+                let row = x.row(first + local);
+                let (used_fallback, n) = match mode {
+                    Mode::Exact => {
+                        exact_select(row, k, &mut chosen, &mut order);
+                        (false, 0)
                     }
-                    // Emit in ascending column order (format invariant).
-                    let mut t = 0;
-                    for (c, flag) in chosen.iter_mut().enumerate() {
-                        if *flag {
-                            dhead[local * k + t] = row[c];
-                            ihead[local * k + t] = I::from_usize(c);
-                            t += 1;
-                            *flag = false; // reset for next row
-                        }
+                    Mode::Pivot { max_iters } => {
+                        pivot_select(row, k, max_iters, &mut chosen, &mut order)
                     }
-                    debug_assert_eq!(t, k);
+                };
+                iters += n as u64;
+                fallbacks += u64::from(used_fallback);
+                // Emit in ascending column order (format invariant).
+                let mut t = 0;
+                for (c, flag) in chosen.iter_mut().enumerate() {
+                    if *flag {
+                        vals[t] = row[c];
+                        cols[t] = I::try_from(c).expect("column fits the index width");
+                        t += 1;
+                        *flag = false; // reset for next row
+                    }
                 }
-                total_iters.fetch_add(iters_local, Ordering::Relaxed);
-                fallbacks.fetch_add(fallbacks_local, Ordering::Relaxed);
-            });
-            handles.push(handle);
-            start = end;
-        }
-        // Joined explicitly (rather than letting the scope propagate) so a
-        // worker panic surfaces under this stable message, which callers
-        // and tests match on.
-        for handle in handles {
-            if handle.join().is_err() {
-                panic!("selection worker panicked");
+                debug_assert_eq!(t, k);
             }
-        }
-    });
+            (iters, fallbacks)
+        },
+    )
 }
 
 /// Exact top-k: sort candidate columns by (value desc, index asc).
@@ -376,14 +294,28 @@ mod tests {
         assert_eq!(c.row_data(0), &[-0.4, 0.7, 0.9]);
     }
 
+    /// `random`, with the last column of row 0 above Xavier's range so it
+    /// is always selected: at `cols = 257` that is column 256, the one
+    /// only the `u16` index width can name.
+    fn random_wide(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut x = random(rows, cols, seed);
+        x.set(0, cols - 1, 1.0);
+        x
+    }
+
     #[test]
     fn pivot_matches_exact_on_random_input() {
-        let x = random(300, 64, 5);
-        let exact = maxk_forward(&x, 16).unwrap();
-        let (pivot, stats) = maxk_forward_pivot(&x, 16).unwrap();
-        assert_eq!(exact, pivot);
-        assert!(stats.avg_iterations() <= PIVOT_MAX_ITERS as f64);
-        assert!(stats.rows == 300);
+        // 256 is the last `u8` index width, 257 the first `u16` one.
+        for dim in [64, 256, 257] {
+            let x = random_wide(300, dim, 5);
+            let exact = maxk_forward(&x, 16).unwrap();
+            let (pivot, stats) = maxk_forward_pivot(&x, 16).unwrap();
+            assert_eq!(exact, pivot);
+            assert_eq!(exact.index_at(0, 15), dim - 1);
+            exact.validate().unwrap();
+            assert!(stats.avg_iterations() <= PIVOT_MAX_ITERS as f64);
+            assert!(stats.rows == 300);
+        }
     }
 
     #[test]
@@ -499,33 +431,40 @@ mod tests {
 
     #[test]
     fn backward_scatters_through_pattern() {
-        let x = random(20, 16, 13);
-        let c = maxk_forward(&x, 4).unwrap();
-        let mut dy = c.zeros_like_pattern();
-        for v in dy.sp_data_mut().iter_mut() {
-            *v = 2.0;
-        }
-        let dense = maxk_backward(&dy);
-        assert_eq!(dense.shape(), (20, 16));
-        for r in 0..20 {
-            let nz: Vec<usize> = (0..16).filter(|&cidx| dense.get(r, cidx) != 0.0).collect();
-            assert_eq!(nz, chosen_columns(&c, r));
-            for &cidx in &nz {
-                assert_eq!(dense.get(r, cidx), 2.0);
+        for dim in [16, 256, 257] {
+            let x = random_wide(20, dim, 13);
+            let c = maxk_forward(&x, 4).unwrap();
+            assert_eq!(c.index_at(0, 3), dim - 1);
+            let mut dy = c.zeros_like_pattern();
+            for v in dy.sp_data_mut().iter_mut() {
+                *v = 2.0;
+            }
+            let dense = maxk_backward(&dy);
+            assert_eq!(dense, dy.to_dense());
+            assert_eq!(dense.shape(), (20, dim));
+            for r in 0..20 {
+                let nz: Vec<usize> = (0..dim).filter(|&cidx| dense.get(r, cidx) != 0.0).collect();
+                assert_eq!(nz, chosen_columns(&c, r));
+                for &cidx in &nz {
+                    assert_eq!(dense.get(r, cidx), 2.0);
+                }
             }
         }
     }
 
     #[test]
     fn gather_roundtrip() {
-        let x = random(30, 24, 17);
-        let c = maxk_forward(&x, 6).unwrap();
-        let regathered = gather_with_pattern(&x, &c);
-        assert_eq!(regathered, c);
+        for dim in [24, 256, 257] {
+            let x = random_wide(30, dim, 17);
+            let c = maxk_forward(&x, 6).unwrap();
+            assert_eq!(c.index_at(0, 5), dim - 1);
+            let regathered = gather_with_pattern(&x, &c);
+            assert_eq!(regathered, c);
+        }
     }
 
     #[test]
-    #[should_panic(expected = "selection worker panicked")]
+    #[should_panic(expected = "no NaN in features")]
     fn nan_features_panic_loudly() {
         // NaN in the feature map is a training bug; the selection kernel
         // surfaces it instead of silently producing garbage order.

@@ -9,9 +9,12 @@
 //! usually encountered with SpGEMM design" (§3.2).
 //!
 //! The CPU implementation below is the functional engine used by training;
-//! the memory-behaviour twin lives in [`crate::sim_kernels`].
+//! the memory-behaviour twin lives in [`crate::sim_kernels`]. It alone
+//! walks Edge Groups on the product path (`ablation_eg_width` measures
+//! that walk); per nonzero it runs `cbsr`'s scatter-axpy, like
+//! [`sspmm_rows`](crate::subset::sspmm_rows) in plain CSR order.
 
-use crate::cbsr::Cbsr;
+use crate::cbsr::{row, scatter_axpy, with_index, Cbsr};
 use maxk_graph::{Csr, WarpPartition};
 use maxk_tensor::{parallel, Matrix};
 
@@ -31,39 +34,32 @@ pub fn spgemm_forward(adj: &Csr, xs: &Cbsr, part: &WarpPartition) -> Matrix {
         adj.num_nodes(),
         "CBSR rows must match graph nodes"
     );
-    let n = adj.num_nodes();
     let dim = xs.dim_origin();
-    let k = xs.k();
-    let mut out = Matrix::zeros(n, dim);
+    let mut out = Matrix::zeros(adj.num_nodes(), dim);
     let cols = adj.col_idx();
     let vals = adj.values();
     let groups = part.groups();
-    let sp_data = xs.sp_data();
-    parallel::par_rows_mut(out.data_mut(), dim, 16, |first_row, chunk| {
-        let rows = chunk.len() / dim;
-        let mut g = groups.partition_point(|eg| (eg.row as usize) < first_row);
-        for local in 0..rows {
-            let i = first_row + local;
-            // The output row doubles as the accumulation buffer: on the
-            // GPU each EG owns a shared-memory Buf_w and the buffers are
-            // merged atomically; on the CPU one worker owns the row, so
-            // accumulating in place is the same arithmetic in the same
-            // (group, nonzero, slot) order.
-            let buf = &mut chunk[local * dim..(local + 1) * dim];
-            while g < groups.len() && groups[g].row as usize == i {
-                let eg = groups[g];
-                let span = eg.start..eg.start + eg.len as usize;
-                for (&j, &e) in cols[span.clone()].iter().zip(&vals[span]) {
-                    let j = j as usize;
-                    let row_data = &sp_data[j * k..(j + 1) * k];
-                    for (t, &v) in row_data.iter().enumerate() {
+    with_index!(xs.sp_index(), |index| {
+        parallel::par_rows_mut(out.data_mut(), dim, 16, |first_row, chunk| {
+            let mut g = groups.partition_point(|eg| (eg.row as usize) < first_row);
+            for (local, buf) in chunk.chunks_mut(dim).enumerate() {
+                let i = first_row + local;
+                // The output row doubles as the accumulation buffer: on
+                // the GPU each EG owns a shared-memory Buf_w and the
+                // buffers are merged atomically; on the CPU one worker
+                // owns the row, so accumulating in place is the same
+                // arithmetic in the same (group, nonzero, slot) order.
+                while g < groups.len() && groups[g].row as usize == i {
+                    let eg = groups[g];
+                    let span = eg.start..eg.start + eg.len as usize;
+                    for (&j, &e) in cols[span.clone()].iter().zip(&vals[span]) {
                         // Buf_w[sp_index[j,t]] += e_ij * sp_data[j,t]
-                        buf[xs.index_at(j, t)] += e * v;
+                        scatter_axpy(buf, e, row(xs, index, j as usize));
                     }
+                    g += 1;
                 }
-                g += 1;
             }
-        }
+        });
     });
     out
 }
@@ -88,18 +84,25 @@ mod tests {
             .unwrap();
         let adj = normalize::normalized(&csr, Aggregator::GcnSym);
         let mut rng = StdRng::seed_from_u64(seed + 1);
-        let x = Matrix::xavier(n, dim, &mut rng);
+        let mut x = Matrix::xavier(n, dim, &mut rng);
+        // Above Xavier's range, so row 0 always selects the last column —
+        // at dim 257 the one only the `u16` index width can name.
+        x.set(0, dim - 1, 1.0);
         let xs = maxk_forward(&x, k).unwrap();
         (adj, xs, x)
     }
 
     #[test]
     fn spgemm_equals_spmm_on_densified_operand() {
-        let (adj, xs, _) = setup(150, 8.0, 32, 8, 1);
-        let part = WarpPartition::build(&adj, 16);
-        let sparse = spgemm_forward(&adj, &xs, &part);
-        let dense = spgemm_forward_reference(&adj, &xs);
-        assert!(sparse.max_abs_diff(&dense) < 1e-5);
+        // 256 is the last `u8` index width, 257 the first `u16` one.
+        for dim in [32, 256, 257] {
+            let (adj, xs, _) = setup(150, 8.0, dim, 8, 1);
+            assert_eq!(xs.index_at(0, 7), dim - 1);
+            let part = WarpPartition::build(&adj, 16);
+            let sparse = spgemm_forward(&adj, &xs, &part);
+            let dense = spgemm_forward_reference(&adj, &xs);
+            assert!(sparse.max_abs_diff(&dense) < 1e-5);
+        }
     }
 
     #[test]

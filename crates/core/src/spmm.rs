@@ -16,7 +16,35 @@
 //!   accumulation races instead).
 
 use maxk_graph::{Csr, WarpPartition};
+use maxk_tensor::ops::axpy;
 use maxk_tensor::{parallel, Matrix};
+
+/// The one row-aggregation loop: for each `width`-wide row `r` of `out`,
+/// walk the nonzeros `(j, e)` of `adj`'s row `out_id(r)` in CSR order and
+/// call `for_row(r)(out_row, e, col(j))` — `for_row` is where a kernel
+/// hoists what is fixed per output row. One worker owns each output row,
+/// so the per-row order is CSR order whatever the chunking. Full kernels
+/// pass identity maps, [`crate::subset`] a `NodeSet`'s — which is why a
+/// subset row equals the full kernel's row bit for bit.
+pub(crate) fn aggregate_rows<A: Fn(&mut [f32], f32, usize)>(
+    adj: &Csr,
+    out: &mut [f32],
+    width: usize,
+    out_id: impl Fn(usize) -> usize + Sync,
+    col: impl Fn(u32) -> usize + Sync,
+    for_row: impl Fn(usize) -> A + Sync,
+) {
+    parallel::par_rows_mut(out, width, 16, |first_row, chunk| {
+        for (local, out_row) in chunk.chunks_mut(width).enumerate() {
+            let r = first_row + local;
+            let accumulate = for_row(r);
+            let (cols, vals) = adj.row(out_id(r));
+            for (&j, &e) in cols.iter().zip(vals) {
+                accumulate(out_row, e, col(j));
+            }
+        }
+    });
+}
 
 /// Row-wise-product SpMM: `Y[i,:] = Σ_j A[i,j] · X[j,:]`.
 ///
@@ -43,22 +71,15 @@ pub fn spmm_rowwise(adj: &Csr, x: &Matrix) -> Matrix {
         adj.num_nodes(),
         "feature rows must match graph nodes"
     );
-    let n = adj.num_nodes();
-    let dim = x.cols();
-    let mut out = Matrix::zeros(n, dim);
-    let x_data = x.data();
-    parallel::par_rows_mut(out.data_mut(), dim, 16, |first_row, chunk| {
-        for (local, out_row) in chunk.chunks_mut(dim).enumerate() {
-            let i = first_row + local;
-            let (cols, vals) = adj.row(i);
-            for (&j, &e) in cols.iter().zip(vals) {
-                let x_row = &x_data[j as usize * dim..(j as usize + 1) * dim];
-                for (o, &xv) in out_row.iter_mut().zip(x_row) {
-                    *o += e * xv;
-                }
-            }
-        }
-    });
+    let mut out = Matrix::zeros(adj.num_nodes(), x.cols());
+    aggregate_rows(
+        adj,
+        out.data_mut(),
+        x.cols(),
+        |i| i,
+        |j| j as usize,
+        |_| |out_row, e, j| axpy(out_row, e, x.row(j)),
+    );
     out
 }
 
@@ -82,7 +103,6 @@ pub fn spmm_gnnadvisor(adj: &Csr, x: &Matrix, part: &WarpPartition) -> Matrix {
     let n = adj.num_nodes();
     let dim = x.cols();
     let mut out = Matrix::zeros(n, dim);
-    let x_data = x.data();
     let cols = adj.col_idx();
     let vals = adj.values();
     let groups = part.groups();
@@ -106,10 +126,7 @@ pub fn spmm_gnnadvisor(adj: &Csr, x: &Matrix, part: &WarpPartition) -> Matrix {
                 staging.iter_mut().for_each(|v| *v = 0.0);
                 let span = eg.start..eg.start + eg.len as usize;
                 for (&j, &e) in cols[span.clone()].iter().zip(&vals[span]) {
-                    let x_row = &x_data[j as usize * dim..(j as usize + 1) * dim];
-                    for (s, &xv) in staging.iter_mut().zip(x_row) {
-                        *s += e * xv;
-                    }
+                    axpy(&mut staging, e, x.row(j as usize));
                 }
                 for (o, &s) in out_row.iter_mut().zip(&staging) {
                     *o += s;
@@ -138,7 +155,6 @@ pub fn spmm_outer_naive(adj_t: &Csr, x: &Matrix) -> Matrix {
     );
     let n = adj_t.num_nodes();
     let dim = x.cols();
-    let x_data = x.data();
     // Outer product: column j of Aᵀ is row j of A ≡ row j of adj_tᵀ. We
     // iterate source rows of the *transposed* operand: for each j, the
     // nonzeros (i, e) of adj_tᵀ row j scatter e·X[j,:] into Y[i,:].
@@ -148,12 +164,9 @@ pub fn spmm_outer_naive(adj_t: &Csr, x: &Matrix) -> Matrix {
         let mut acc = vec![0f32; n * dim];
         for j in lo..hi {
             let (cols, vals) = a.row(j);
-            let x_row = &x_data[j * dim..(j + 1) * dim];
             for (&i, &e) in cols.iter().zip(vals) {
                 let dst = &mut acc[i as usize * dim..(i as usize + 1) * dim];
-                for (d, &xv) in dst.iter_mut().zip(x_row) {
-                    *d += e * xv;
-                }
+                axpy(dst, e, x.row(j));
             }
         }
         acc

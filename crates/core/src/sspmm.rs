@@ -17,12 +17,13 @@
 //!
 //! * [`sspmm_backward`] — row-parallel gather form (each worker owns
 //!   output rows; no synchronization), the functional engine used in
-//!   training;
+//!   training — `spmm::aggregate_rows` with `cbsr`'s gather-axpy;
 //! * [`sspmm_backward_outer`] — the literal outer-product loop order of
 //!   Algorithm 2 (single pass over source rows with a staged buffer),
 //!   used to verify the dataflow rewrite is exact.
 
-use crate::cbsr::Cbsr;
+use crate::cbsr::{gather_axpy, row, with_index, Cbsr};
+use crate::spmm::aggregate_rows;
 use maxk_graph::Csr;
 use maxk_tensor::Matrix;
 
@@ -72,23 +73,20 @@ pub fn sspmm_backward(adj_t: &Csr, dxl: &Matrix, pattern: &Cbsr) -> Cbsr {
         "pattern dim must match gradient"
     );
     let k = pattern.k();
-    let dim = dxl.cols();
     let mut out = pattern.zeros_like_pattern();
-    let dxl_data = dxl.data();
-    // Row i of dXs = Σ_j Aᵀ[i,j] · dXl[j, sp_index[i,:]] — each worker
-    // owns a contiguous block of output rows.
-    let sp_out = out.sp_data_mut();
-    maxk_tensor::parallel::par_rows_mut(sp_out, k, 16, |first_row, chunk| {
-        for (local, out_row) in chunk.chunks_mut(k).enumerate() {
-            let i = first_row + local;
-            let (cols, vals) = adj_t.row(i);
-            for (&j, &e) in cols.iter().zip(vals) {
-                let src = &dxl_data[j as usize * dim..(j as usize + 1) * dim];
-                for (t, o) in out_row.iter_mut().enumerate() {
-                    *o += e * src[pattern.index_at(i, t)];
-                }
-            }
-        }
+    // Row i of dXs = Σ_j Aᵀ[i,j] · dXl[j, sp_index[i,:]].
+    with_index!(pattern.sp_index(), |index| {
+        aggregate_rows(
+            adj_t,
+            out.sp_data_mut(),
+            k,
+            |i| i,
+            |j| j as usize,
+            |i| {
+                let cols = row(pattern, index, i).1;
+                move |out_row, e, j| gather_axpy(out_row, e, dxl.row(j), cols)
+            },
+        );
     });
     out
 }
@@ -115,27 +113,25 @@ pub fn sspmm_backward_outer(adj_t: &Csr, dxl: &Matrix, pattern: &Cbsr) -> Cbsr {
         dxl.cols(),
         "pattern dim must match gradient"
     );
-    let n = adj_t.num_nodes();
     let k = pattern.k();
-    let dim = dxl.cols();
     let mut out = pattern.zeros_like_pattern();
     // Column j of Aᵀ is row j of A = row j of adj_tᵀ.
     let a = adj_t.transpose();
-    let mut staged = vec![0f32; dim];
-    for j in 0..n {
-        // Stage 1: on-chip buffering of dXl[j,:] (coalesced read).
-        staged.copy_from_slice(dxl.row(j));
-        // Stage 2: compute and (atomic) accumulation.
-        let (cols, vals) = a.row(j);
-        for (&i, &e) in cols.iter().zip(vals) {
-            let i = i as usize;
-            let dst = &mut out.sp_data_mut()[i * k..(i + 1) * k];
-            for (t, d) in dst.iter_mut().enumerate() {
+    let mut staged = vec![0f32; dxl.cols()];
+    with_index!(pattern.sp_index(), |index| {
+        for j in 0..adj_t.num_nodes() {
+            // Stage 1: on-chip buffering of dXl[j,:] (coalesced read).
+            staged.copy_from_slice(dxl.row(j));
+            // Stage 2: compute and (atomic) accumulation.
+            let (cols, vals) = a.row(j);
+            for (&i, &e) in cols.iter().zip(vals) {
+                let i = i as usize;
                 // sp_data[i,t] += e_ij * Buf[sp_index[i,t]]
-                *d += e * staged[pattern.index_at(i, t)];
+                let dst = &mut out.sp_data_mut()[i * k..(i + 1) * k];
+                gather_axpy(dst, e, &staged, row(pattern, index, i).1);
             }
         }
-    }
+    });
     out
 }
 
@@ -169,7 +165,10 @@ mod tests {
         let adj = normalize::normalized(&csr, agg);
         let adj_t = adj.transpose();
         let mut rng = StdRng::seed_from_u64(seed + 1);
-        let x = Matrix::xavier(n, dim, &mut rng);
+        let mut x = Matrix::xavier(n, dim, &mut rng);
+        // Above Xavier's range, so row 0 always selects the last column —
+        // at dim 257 the one only the `u16` index width can name.
+        x.set(0, dim - 1, 1.0);
         let pattern = maxk_forward(&x, k).unwrap();
         let dxl = Matrix::xavier(n, dim, &mut rng);
         (adj, adj_t, dxl, pattern)
@@ -177,30 +176,37 @@ mod tests {
 
     #[test]
     fn parallel_gather_matches_reference() {
-        let (_, adj_t, dxl, pattern) = setup(150, 8.0, 24, 6, 1, Aggregator::GcnSym);
-        let fast = sspmm_backward(&adj_t, &dxl, &pattern);
-        let slow = sspmm_backward_reference(&adj_t, &dxl, &pattern);
-        let diff = fast
-            .sp_data()
-            .iter()
-            .zip(slow.sp_data())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0f32, f32::max);
-        assert!(diff < 1e-5, "max diff {diff}");
+        // 256 is the last `u8` index width, 257 the first `u16` one.
+        for dim in [24, 256, 257] {
+            let (_, adj_t, dxl, pattern) = setup(150, 8.0, dim, 6, 1, Aggregator::GcnSym);
+            assert_eq!(pattern.index_at(0, 5), dim - 1);
+            let fast = sspmm_backward(&adj_t, &dxl, &pattern);
+            let slow = sspmm_backward_reference(&adj_t, &dxl, &pattern);
+            let diff = fast
+                .sp_data()
+                .iter()
+                .zip(slow.sp_data())
+                .map(|(a, b)| (a - b).abs())
+                .fold(0f32, f32::max);
+            assert!(diff < 1e-5, "max diff {diff}");
+        }
     }
 
     #[test]
     fn outer_product_order_is_exact_rewrite() {
-        let (_, adj_t, dxl, pattern) = setup(100, 6.0, 16, 4, 2, Aggregator::SageMean);
-        let gather = sspmm_backward(&adj_t, &dxl, &pattern);
-        let outer = sspmm_backward_outer(&adj_t, &dxl, &pattern);
-        let diff = gather
-            .sp_data()
-            .iter()
-            .zip(outer.sp_data())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0f32, f32::max);
-        assert!(diff < 1e-5, "max diff {diff}");
+        for dim in [16, 256, 257] {
+            let (_, adj_t, dxl, pattern) = setup(100, 6.0, dim, 4, 2, Aggregator::SageMean);
+            assert_eq!(pattern.index_at(0, 3), dim - 1);
+            let gather = sspmm_backward(&adj_t, &dxl, &pattern);
+            let outer = sspmm_backward_outer(&adj_t, &dxl, &pattern);
+            let diff = gather
+                .sp_data()
+                .iter()
+                .zip(outer.sp_data())
+                .map(|(a, b)| (a - b).abs())
+                .fold(0f32, f32::max);
+            assert!(diff < 1e-5, "max diff {diff}");
+        }
     }
 
     #[test]

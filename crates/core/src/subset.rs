@@ -8,17 +8,19 @@
 //! from a compact matrix indexed by a [`NodeSet`] remapping (the reverse
 //! frontier levels of `maxk_graph::frontier`).
 //!
-//! Both kernels visit each output row's nonzeros in CSR order with the
-//! same inner accumulation order as the full kernels (Edge Groups of one
-//! row are contiguous and in order, so the flattened per-row `(nonzero,
-//! slot)` sequence is identical), which makes the subset outputs
-//! **bitwise equal** to the corresponding rows of the full-graph kernels —
-//! the property the serving path relies on and `tests/properties.rs`
-//! checks.
+//! Neither kernel owns a loop: `subset_rows` below hands the full
+//! kernels' row walk (`spmm::aggregate_rows`) the node sets' maps, with
+//! the dense axpy or `cbsr`'s scatter-axpy per nonzero; Edge Groups of
+//! one row are contiguous and in order, so `spgemm_forward` feeds that
+//! scatter-axpy the same per-row `(nonzero, slot)` sequence. Hence subset
+//! outputs are **bitwise equal** to the full-graph kernels' rows — the
+//! property the serving path relies on and `tests/properties.rs` checks.
 
-use crate::cbsr::Cbsr;
+use crate::cbsr::{row, scatter_axpy, with_index, Cbsr};
+use crate::spmm::aggregate_rows;
 use maxk_graph::{Csr, NodeSet};
-use maxk_tensor::{parallel, Matrix};
+use maxk_tensor::ops::axpy;
+use maxk_tensor::Matrix;
 
 /// Row-subset dense SpMM: `Y[r,:] = Σ_j A[out_rows[r], j] · X[map(j),:]`.
 ///
@@ -58,36 +60,9 @@ pub fn spmm_rows(adj: &Csr, x: &Matrix, out_rows: &NodeSet, in_rows: &NodeSet) -
         in_rows.len(),
         "operand rows must match the input node set"
     );
-    assert_eq!(
-        in_rows.universe(),
-        adj.num_nodes(),
-        "input node set universe must match the graph"
-    );
-    assert_eq!(
-        out_rows.universe(),
-        adj.num_nodes(),
-        "output node set universe must match the graph"
-    );
-    let dim = x.cols();
-    let mut out = Matrix::zeros(out_rows.len(), dim);
-    let x_data = x.data();
-    let ids = out_rows.ids();
-    parallel::par_rows_mut(out.data_mut(), dim, 16, |first_row, chunk| {
-        for (local, out_row) in chunk.chunks_mut(dim).enumerate() {
-            let i = ids[first_row + local] as usize;
-            let (cols, vals) = adj.row(i);
-            for (&j, &e) in cols.iter().zip(vals) {
-                let cj = in_rows
-                    .compact(j)
-                    .expect("input node set must cover the requested rows' neighbors");
-                let x_row = &x_data[cj * dim..(cj + 1) * dim];
-                for (o, &xv) in out_row.iter_mut().zip(x_row) {
-                    *o += e * xv;
-                }
-            }
-        }
-    });
-    out
+    subset_rows(adj, x.cols(), out_rows, in_rows, |out_row, e, cj| {
+        axpy(out_row, e, x.row(cj));
+    })
 }
 
 /// Row-subset SpGEMM over a CBSR operand (the MaxK serving path):
@@ -132,6 +107,24 @@ pub fn sspmm_rows(adj: &Csr, xs: &Cbsr, out_rows: &NodeSet, in_rows: &NodeSet) -
         in_rows.len(),
         "CBSR rows must match the input node set"
     );
+    with_index!(xs.sp_index(), |index| {
+        subset_rows(adj, xs.dim_origin(), out_rows, in_rows, |buf, e, cj| {
+            scatter_axpy(buf, e, row(xs, index, cj));
+        })
+    })
+}
+
+/// What makes a kernel row-subset: `width`-wide output rows at `out_rows`
+/// only, each nonzero's column looked up in `in_rows`, and otherwise the
+/// full kernels' row walk ([`aggregate_rows`]) with `accumulate(out_row,
+/// e, compact_column)` per nonzero.
+fn subset_rows(
+    adj: &Csr,
+    width: usize,
+    out_rows: &NodeSet,
+    in_rows: &NodeSet,
+    accumulate: impl Fn(&mut [f32], f32, usize) + Sync,
+) -> Matrix {
     assert_eq!(
         in_rows.universe(),
         adj.num_nodes(),
@@ -142,26 +135,20 @@ pub fn sspmm_rows(adj: &Csr, xs: &Cbsr, out_rows: &NodeSet, in_rows: &NodeSet) -
         adj.num_nodes(),
         "output node set universe must match the graph"
     );
-    let dim = xs.dim_origin();
-    let k = xs.k();
-    let mut out = Matrix::zeros(out_rows.len(), dim);
-    let sp_data = xs.sp_data();
     let ids = out_rows.ids();
-    parallel::par_rows_mut(out.data_mut(), dim, 16, |first_row, chunk| {
-        for (local, buf) in chunk.chunks_mut(dim).enumerate() {
-            let i = ids[first_row + local] as usize;
-            let (cols, vals) = adj.row(i);
-            for (&j, &e) in cols.iter().zip(vals) {
-                let cj = in_rows
-                    .compact(j)
-                    .expect("input node set must cover the requested rows' neighbors");
-                let row_data = &sp_data[cj * k..(cj + 1) * k];
-                for (t, &v) in row_data.iter().enumerate() {
-                    buf[xs.index_at(cj, t)] += e * v;
-                }
-            }
-        }
-    });
+    let mut out = Matrix::zeros(ids.len(), width);
+    aggregate_rows(
+        adj,
+        out.data_mut(),
+        width,
+        |r| ids[r] as usize,
+        |j| {
+            in_rows
+                .compact(j)
+                .expect("input node set must cover the requested rows' neighbors")
+        },
+        |_| &accumulate,
+    );
     out
 }
 
@@ -198,14 +185,20 @@ mod tests {
 
     #[test]
     fn sspmm_rows_bitwise_matches_spgemm() {
-        let (adj, x) = setup(100, 16, 2);
-        let xs = maxk_forward(&x, 4).unwrap();
-        let part = WarpPartition::build(&adj, 8);
-        let full = spgemm_forward(&adj, &xs, &part);
-        let out = NodeSet::from_unsorted(&[3, 42, 77], 100).unwrap();
-        let sub = sspmm_rows(&adj, &xs, &out, &NodeSet::full(100));
-        for (r, &id) in out.ids().iter().enumerate() {
-            assert_eq!(sub.row(r), full.row(id as usize), "row {id}");
+        // 256 is the last `u8` index width, 257 the first `u16` one.
+        for dim in [16, 256, 257] {
+            let (adj, mut x) = setup(100, dim, 2);
+            // Above Xavier's range: row 0 selects the last column.
+            x.set(0, dim - 1, 1.0);
+            let xs = maxk_forward(&x, 4).unwrap();
+            assert_eq!(xs.index_at(0, 3), dim - 1);
+            let part = WarpPartition::build(&adj, 8);
+            let full = spgemm_forward(&adj, &xs, &part);
+            let out = NodeSet::from_unsorted(&[3, 42, 77], 100).unwrap();
+            let sub = sspmm_rows(&adj, &xs, &out, &NodeSet::full(100));
+            for (r, &id) in out.ids().iter().enumerate() {
+                assert_eq!(sub.row(r), full.row(id as usize), "row {id}");
+            }
         }
     }
 

@@ -1,6 +1,6 @@
 //! Graph convolution layers with explicit backward passes.
 
-use maxk_core::maxk::{gather_with_pattern, maxk_backward, maxk_forward};
+use maxk_core::maxk::{maxk_backward, maxk_forward};
 use maxk_core::spgemm::spgemm_forward;
 use maxk_core::spmm::spmm_rowwise;
 use maxk_core::sspmm::sspmm_backward;
@@ -311,20 +311,12 @@ impl Conv {
                     let scale = 1.0 + self.eps;
                     match (&self.activation, &self.cache_pattern) {
                         (Some(Activation::MaxK(_)), Some(hs)) => {
-                            let mut d = maxk_backward(hs); // scatter hs to dense
-                            ops::scale_assign(&mut d, scale);
-                            ops::add_assign(&mut y, &d);
+                            hs.scatter_axpy(scale, &mut y);
                         }
                         (Some(Activation::Relu), _) => {
-                            let mut h = ops::relu(&z);
-                            ops::scale_assign(&mut h, scale);
-                            ops::add_assign(&mut y, &h);
+                            ops::axpy(y.data_mut(), scale, ops::relu(&z).data());
                         }
-                        _ => {
-                            let mut zz = z.clone();
-                            ops::scale_assign(&mut zz, scale);
-                            ops::add_assign(&mut y, &zz);
-                        }
+                        _ => ops::axpy(y.data_mut(), scale, z.data()),
                     }
                 });
             }
@@ -359,12 +351,7 @@ impl Conv {
                 let mut dhs = timers.time_agg(|| sspmm_backward(&ctx.adj_t, dy, &pattern));
                 if self.arch == Arch::Gin {
                     // Self-path gradient flows through the same mask.
-                    timers.time_other(|| {
-                        let extra = gather_with_pattern(dy, &pattern);
-                        for (d, &e) in dhs.sp_data_mut().iter_mut().zip(extra.sp_data()) {
-                            *d += scale * e;
-                        }
-                    });
+                    timers.time_other(|| dhs.gather_axpy(scale, dy));
                 }
                 // Scatter back to the dense pre-activation gradient.
                 timers.time_maxk(|| maxk_backward(&dhs))
@@ -372,22 +359,14 @@ impl Conv {
             Some(Activation::Relu) => {
                 let mut dh = timers.time_agg(|| spmm_rowwise(&ctx.adj_t, dy));
                 if self.arch == Arch::Gin {
-                    timers.time_other(|| {
-                        let mut extra = dy.clone();
-                        ops::scale_assign(&mut extra, scale);
-                        ops::add_assign(&mut dh, &extra);
-                    });
+                    timers.time_other(|| ops::axpy(dh.data_mut(), scale, dy.data()));
                 }
                 timers.time_other(|| ops::relu_backward(&z, &dh))
             }
             None => {
                 let mut dz = timers.time_agg(|| spmm_rowwise(&ctx.adj_t, dy));
                 if self.arch == Arch::Gin {
-                    timers.time_other(|| {
-                        let mut extra = dy.clone();
-                        ops::scale_assign(&mut extra, scale);
-                        ops::add_assign(&mut dz, &extra);
-                    });
+                    timers.time_other(|| ops::axpy(dz.data_mut(), scale, dy.data()));
                 }
                 dz
             }

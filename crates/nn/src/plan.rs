@@ -31,7 +31,7 @@
 //! path, just skipping rows nobody asked for or rows computed earlier.
 
 use crate::conv::{Activation, Arch, GraphContext};
-use maxk_core::maxk::{maxk_backward, maxk_forward};
+use maxk_core::maxk::maxk_forward;
 use maxk_core::spgemm::spgemm_forward;
 use maxk_core::spmm::spmm_rowwise;
 use maxk_core::subset::{spmm_rows, sspmm_rows};
@@ -644,7 +644,8 @@ pub fn combine(
 /// the full kernels at every row; `Some((out_set, in_set))`: the
 /// `maxk_core::subset` kernels at `out_set`, `c` compact over `in_set`),
 /// then the SAGE self add or the GIN `(1 + ε)` residual at the output
-/// rows. The adds are timed with the aggregation kernel they follow.
+/// rows (`Cbsr::scatter_axpy` / `ops::axpy`, as in `Conv::forward`). The
+/// adds are timed with the aggregation kernel they follow.
 ///
 /// # Panics
 ///
@@ -684,33 +685,22 @@ pub fn aggregate(
             // Where each output row sits in the input ordering (`None` on
             // the full path, where the two coincide).
             let out_positions = rows.map(|(out_set, in_set)| positions_in(out_set, in_set));
-            timed_lap(timer, kind, || {
-                let mut d = match (&c.h, &out_positions) {
-                    (Activated::Sparse(hs), None) => maxk_backward(hs),
-                    (Activated::Sparse(hs), Some(pos)) => scatter_pattern_rows(hs, pos),
-                    (Activated::Dense(h), None) => h.clone(),
-                    (Activated::Dense(h), Some(pos)) => gather_rows_at(h, pos.iter().copied()),
-                };
-                ops::scale_assign(&mut d, 1.0 + eps);
-                ops::add_assign(&mut y, &d);
+            timed_lap(timer, kind, || match (&c.h, &out_positions) {
+                (Activated::Sparse(hs), None) => hs.scatter_axpy(1.0 + eps, &mut y),
+                (Activated::Sparse(hs), Some(pos)) => {
+                    hs.gather_rows(pos).scatter_axpy(1.0 + eps, &mut y);
+                }
+                (Activated::Dense(h), None) => ops::axpy(y.data_mut(), 1.0 + eps, h.data()),
+                (Activated::Dense(h), Some(pos)) => {
+                    for (r, &p) in pos.iter().enumerate() {
+                        ops::axpy(y.row_mut(r), 1.0 + eps, h.row(p));
+                    }
+                }
             });
         }
         Arch::Gcn => {}
     }
     y
-}
-
-/// Row-subset `maxk_backward`: scatters the CBSR pattern rows at
-/// `positions` densely into a `positions.len() × dim_origin` matrix.
-fn scatter_pattern_rows(hs: &Cbsr, positions: &[usize]) -> Matrix {
-    let mut d = Matrix::zeros(positions.len(), hs.dim_origin());
-    for (r, &c) in positions.iter().enumerate() {
-        let row = d.row_mut(r);
-        for t in 0..hs.k() {
-            row[hs.index_at(c, t)] = hs.row_data(c)[t];
-        }
-    }
-    d
 }
 
 #[cfg(test)]

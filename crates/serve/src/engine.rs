@@ -651,11 +651,6 @@ impl<E: BatchEngine> FaultInjector<E> {
         );
     }
 
-    /// The currently injected per-forward delay.
-    pub fn forward_delay(&self) -> std::time::Duration {
-        std::time::Duration::from_micros(self.delay_us.load(std::sync::atomic::Ordering::Relaxed))
-    }
-
     /// The wrapped engine.
     pub fn inner(&self) -> &E {
         &self.inner

@@ -171,13 +171,6 @@ impl TraceRing {
         *self.slots[slot].lock().expect("ring slot poisoned") = Some(record);
     }
 
-    /// Appends a group of spans.
-    pub fn push_all(&self, records: impl IntoIterator<Item = SpanRecord>) {
-        for r in records {
-            self.push(r);
-        }
-    }
-
     /// Copies the resident window, sorted by start time.
     pub fn collect(&self) -> Vec<SpanRecord> {
         let mut out: Vec<SpanRecord> = self

@@ -95,16 +95,12 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning the backing buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Borrowed view of row `r`.
     ///
     /// # Panics
     ///
     /// Panics if `r >= rows`.
+    #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }

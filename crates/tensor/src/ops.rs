@@ -9,6 +9,15 @@
 use crate::matrix::Matrix;
 use crate::parallel;
 
+/// `out[t] += e · x[t]` over the shorter slice — the dense row update
+/// under every row-wise product here and in `maxk-core`.
+#[inline]
+pub fn axpy(out: &mut [f32], e: f32, x: &[f32]) {
+    for (o, &xv) in out.iter_mut().zip(x) {
+        *o += e * xv;
+    }
+}
+
 /// `C = A · B` for `A: n×k`, `B: k×m`.
 ///
 /// Row-parallel ikj loop: each output row accumulates scaled rows of `B`,
@@ -30,12 +39,8 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
             let i = first_row + local;
             let a_row = &a_data[i * k..(i + 1) * k];
             for (kk, &aik) in a_row.iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
-                }
-                let b_row = &b_data[kk * m..(kk + 1) * m];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += aik * bv;
+                if aik != 0.0 {
+                    axpy(out_row, aik, &b_data[kk * m..(kk + 1) * m]);
                 }
             }
         }
@@ -65,12 +70,8 @@ pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
             let a_row = &a_data[i * k..(i + 1) * k];
             let b_row = &b_data[i * m..(i + 1) * m];
             for (kk, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let dst = &mut acc[kk * m..(kk + 1) * m];
-                for (d, &bv) in dst.iter_mut().zip(b_row) {
-                    *d += av * bv;
+                if av != 0.0 {
+                    axpy(&mut acc[kk * m..(kk + 1) * m], av, b_row);
                 }
             }
         }

@@ -106,18 +106,6 @@ impl Adam {
             moments: HashMap::new(),
         }
     }
-
-    /// Fully parameterised constructor.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32, eps: f32) -> Self {
-        Adam {
-            lr,
-            beta1,
-            beta2,
-            eps,
-            t: 0,
-            moments: HashMap::new(),
-        }
-    }
 }
 
 impl Optimizer for Adam {

@@ -1,9 +1,9 @@
 //! Scoped-thread data parallelism helpers.
 //!
 //! All heavy kernels in this reproduction parallelize over contiguous row
-//! ranges. [`par_row_chunks`] is the single primitive they share: it splits
-//! `rows` into at most `num_threads()` contiguous chunks and runs the
-//! closure on each chunk from a `std::thread::scope` scoped thread.
+//! ranges. [`run_chunks`] is the single primitive they share: the chunk
+//! planner and the kernel crates' one `std::thread::scope`; the `par_*`
+//! functions are it at the per-chunk state shapes the kernels use.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -21,34 +21,57 @@ pub fn num_threads() -> usize {
     n
 }
 
-/// Runs `f(start, end)` over disjoint row ranges covering `0..rows` in
-/// parallel.
-///
-/// Chunks are contiguous and at least `min_chunk` rows (except possibly the
-/// last); when the work is too small for more than one chunk, `f` runs on
-/// the calling thread with no spawn overhead.
+/// Runs `f(start, end, state)` over disjoint, contiguous row chunks
+/// covering `0..rows` — each at least `min_chunk` rows (except possibly
+/// the last), at most `num_threads()` of them — and returns the results
+/// in chunk order. `whole` is what all rows own (typically a mutable
+/// slice); `split(rest, len)` takes the next `len` rows' share off it,
+/// once per chunk, in order, on the calling thread. A single chunk gets
+/// `whole` itself and runs on the calling thread with no spawn; otherwise
+/// each chunk runs on a scoped thread, and the scope panics if a worker
+/// did.
+pub fn run_chunks<S, T, F>(
+    rows: usize,
+    min_chunk: usize,
+    mut whole: S,
+    mut split: impl FnMut(&mut S, usize) -> S,
+    f: F,
+) -> Vec<T>
+where
+    S: Send,
+    T: Send,
+    F: Fn(usize, usize, S) -> T + Sync,
+{
+    if rows == 0 {
+        return Vec::new();
+    }
+    let chunk = rows.div_ceil(num_threads()).max(min_chunk.max(1));
+    if chunk >= rows {
+        return vec![f(0, rows, whole)];
+    }
+    let mut results: Vec<Option<T>> = (0..rows.div_ceil(chunk)).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let mut start = 0;
+        for slot in &mut results {
+            let end = (start + chunk).min(rows);
+            let state = split(&mut whole, end - start);
+            let f = &f;
+            s.spawn(move || *slot = Some(f(start, end, state)));
+            start = end;
+        }
+    });
+    results
+        .into_iter()
+        .map(|r| r.expect("the scope joined every chunk"))
+        .collect()
+}
+
+/// [`par_row_map`] for closures that return nothing.
 pub fn par_row_chunks<F>(rows: usize, min_chunk: usize, f: F)
 where
     F: Fn(usize, usize) + Sync,
 {
-    if rows == 0 {
-        return;
-    }
-    let threads = num_threads();
-    let chunk = rows.div_ceil(threads).max(min_chunk.max(1));
-    if chunk >= rows {
-        f(0, rows);
-        return;
-    }
-    std::thread::scope(|s| {
-        let mut start = 0;
-        while start < rows {
-            let end = (start + chunk).min(rows);
-            let f = &f;
-            s.spawn(move || f(start, end));
-            start = end;
-        }
-    });
+    par_row_map(rows, min_chunk, f);
 }
 
 /// Like [`par_row_chunks`] but each chunk produces a value; results are
@@ -58,34 +81,14 @@ where
     T: Send,
     F: Fn(usize, usize) -> T + Sync,
 {
-    if rows == 0 {
-        return Vec::new();
-    }
-    let threads = num_threads();
-    let chunk = rows.div_ceil(threads).max(min_chunk.max(1));
-    if chunk >= rows {
-        return vec![f(0, rows)];
-    }
-    let mut ranges = Vec::new();
-    let mut start = 0;
-    while start < rows {
-        let end = (start + chunk).min(rows);
-        ranges.push((start, end));
-        start = end;
-    }
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(a, b)| {
-                let f = &f;
-                s.spawn(move || f(a, b))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    })
+    run_chunks(rows, min_chunk, (), |_, _| (), |a, b, ()| f(a, b))
+}
+
+/// Splits the next `len` elements off the front of `rest`.
+pub fn split_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    head
 }
 
 /// Splits a mutable slice into row-chunks and processes them in parallel.
@@ -107,28 +110,13 @@ where
         0,
         "slice not a whole number of rows"
     );
-    let rows = data.len() / row_width;
-    if rows == 0 {
-        return;
-    }
-    let threads = num_threads();
-    let chunk = rows.div_ceil(threads).max(min_chunk.max(1));
-    if chunk >= rows {
-        f(0, data);
-        return;
-    }
-    std::thread::scope(|s| {
-        let mut rest = data;
-        let mut start = 0;
-        while start < rows {
-            let end = (start + chunk).min(rows);
-            let (head, tail) = rest.split_at_mut((end - start) * row_width);
-            rest = tail;
-            let f = &f;
-            s.spawn(move || f(start, head));
-            start = end;
-        }
-    });
+    run_chunks(
+        data.len() / row_width,
+        min_chunk,
+        data,
+        |rest, len| split_front(rest, len * row_width),
+        |start, _, chunk| f(start, chunk),
+    );
 }
 
 #[cfg(test)]
@@ -159,6 +147,33 @@ mod tests {
             counter.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(counter.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_single_chunk_never_leaves_the_calling_thread() {
+        // `rows <= min_chunk` plans one chunk whatever the core count; a
+        // spawn costs tens of microseconds, more than such a call's work.
+        let caller = std::thread::current().id();
+        for rows in [1, 8] {
+            par_row_chunks(rows, 8, |_, _| {
+                assert_eq!(std::thread::current().id(), caller);
+            });
+            let ids = par_row_map(rows, 8, |_, _| std::thread::current().id());
+            assert_eq!(ids, vec![caller]);
+            par_rows_mut(&mut vec![0f32; rows * 3], 3, 8, |_, chunk| {
+                assert_eq!(chunk.len(), rows * 3);
+                assert_eq!(std::thread::current().id(), caller);
+            });
+            // What MaxK selection calls with its two output arrays.
+            let ids = run_chunks(
+                rows,
+                8,
+                (),
+                |_, _| (),
+                |_, _, ()| std::thread::current().id(),
+            );
+            assert_eq!(ids, vec![caller]);
+        }
     }
 
     #[test]
