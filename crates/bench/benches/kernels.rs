@@ -3,7 +3,7 @@
 //! Run with `cargo bench -p maxk-bench --bench kernels`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use maxk_core::maxk::{maxk_forward, maxk_forward_pivot};
+use maxk_core::maxk::maxk_forward;
 use maxk_core::spgemm::spgemm_forward;
 use maxk_core::spmm::{spmm_gnnadvisor, spmm_rowwise};
 use maxk_core::sspmm::sspmm_backward;
@@ -82,11 +82,8 @@ fn bench_maxk_select(c: &mut Criterion) {
     let x = Matrix::xavier(n, DIM, &mut rng);
 
     let mut g = c.benchmark_group("maxk_select");
-    for k in [16usize, 32] {
-        g.bench_with_input(BenchmarkId::new("pivot", k), &k, |b, &k| {
-            b.iter(|| std::hint::black_box(maxk_forward_pivot(&x, k).expect("k <= dim")));
-        });
-        g.bench_with_input(BenchmarkId::new("exact_sort", k), &k, |b, &k| {
+    for k in [8usize, 16, 32, 64] {
+        g.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             b.iter(|| std::hint::black_box(maxk_forward(&x, k).expect("k <= dim")));
         });
     }

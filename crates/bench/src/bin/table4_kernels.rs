@@ -9,7 +9,7 @@
 //!         [--dataset Reddit] [--dim 256] [--k 32] [--reps 5]`
 
 use maxk_bench::{measure_cpu_kernels, report, Args, Table};
-use maxk_core::maxk::maxk_forward_pivot;
+use maxk_core::maxk::{maxk_forward_pivot, PIVOT_MAX_ITERS};
 use maxk_core::sim_kernels::profile_kernel_suite;
 use maxk_gpu_sim::GpuConfig;
 use maxk_graph::datasets::{DatasetSpec, Scale};
@@ -39,7 +39,7 @@ fn main() {
 
     println!("# Table 4: kernel latency profile ({name} stand-in, dim {dim}, k {k})\n");
     println!(
-        "graph: {} nodes, {} edges | MaxK pivot iterations: avg {:.2}, fallback {:.1}%\n",
+        "graph: {} nodes, {} edges | MaxK bisection passes per row: avg {:.2}, rows past {PIVOT_MAX_ITERS}: {:.1}%\n",
         adj.num_nodes(),
         adj.num_edges(),
         stats.avg_iterations(),

@@ -135,6 +135,7 @@ pub struct Conv {
     lin_self: Option<Linear>,
     // Forward caches.
     cache_input: Option<Matrix>,
+    /// The dense pre-activation, ReLU layers only.
     cache_z: Option<Matrix>,
     cache_pattern: Option<Cbsr>,
     cache_dropout: Option<Vec<bool>>,
@@ -324,7 +325,11 @@ impl Conv {
         }
 
         self.cache_input = Some(x_in);
-        self.cache_z = Some(z);
+        // Only ReLU's backward reads the pre-activation; a MaxK layer's
+        // mask is its CBSR pattern and the output layer has none.
+        if self.activation == Some(Activation::Relu) {
+            self.cache_z = Some(z);
+        }
         y
     }
 
@@ -341,7 +346,6 @@ impl Conv {
         timers: &mut PhaseTimers,
     ) -> Matrix {
         let x_in = self.cache_input.take().expect("backward before forward");
-        let z = self.cache_z.take().expect("backward before forward");
 
         let scale = 1.0 + self.eps;
         let dz = match self.activation {
@@ -361,6 +365,7 @@ impl Conv {
                 if self.arch == Arch::Gin {
                     timers.time_other(|| ops::axpy(dh.data_mut(), scale, dy.data()));
                 }
+                let z = self.cache_z.take().expect("ReLU pre-activation cached");
                 timers.time_other(|| ops::relu_backward(&z, &dh))
             }
             None => {
@@ -525,6 +530,39 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn only_relu_layers_keep_the_pre_activation_for_backward() {
+        let g = graph(80, 3);
+        let ctx = GraphContext::build(&g, Arch::Gcn, 16);
+        let mut rng = StdRng::seed_from_u64(7);
+        let x = Matrix::xavier(80, 12, &mut rng);
+        let dy = Matrix::xavier(80, 6, &mut rng);
+        let mut timers = PhaseTimers::default();
+        for act in [Some(Activation::MaxK(3)), None, Some(Activation::Relu)] {
+            let mut conv = Conv::new(Arch::Gcn, act, 12, 6, 0.0, &mut rng);
+            let mut lin = conv.lin_neigh.clone();
+            conv.forward(&ctx, &x, false, &mut rng, &mut timers);
+            assert_eq!(conv.cache_z.is_some(), act == Some(Activation::Relu));
+            let dx = conv.backward(&ctx, &dy, &mut timers);
+            assert!(conv.cache_z.is_none());
+
+            // The same gradients from the kernels alone, `z` recomputed.
+            let z = lin.forward(&x);
+            let dz = match act {
+                Some(Activation::MaxK(k)) => {
+                    let pattern = maxk_forward(&z, k).unwrap();
+                    maxk_backward(&sspmm_backward(&ctx.adj_t, &dy, &pattern))
+                }
+                Some(Activation::Relu) => ops::relu_backward(&z, &spmm_rowwise(&ctx.adj_t, &dy)),
+                None => spmm_rowwise(&ctx.adj_t, &dy),
+            };
+            assert_eq!(dx, lin.backward(&x, &dz), "{act:?}");
+            let (got, want) = (conv.lin_neigh.params_and_grads(), lin.params_and_grads());
+            assert_eq!(got[0].1, want[0].1, "{act:?} dW");
+            assert_eq!(got[1].1, want[1].1, "{act:?} db");
         }
     }
 

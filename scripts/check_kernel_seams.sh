@@ -6,7 +6,10 @@
 #   * non-test code of crates/{core,tensor,nn}/src spawns threads only
 #     through the one `thread::scope` in crates/tensor/src/parallel.rs;
 #   * no kernel matches the index width per scalar: `Cbsr::index_at(`
-#     stays out of the non-test code of the hot-loop files.
+#     stays out of the non-test code of the hot-loop files;
+#   * MaxK selection is the bisection kernel alone: the non-test lines of
+#     crates/core/src/maxk.rs hold no `sort` and no `partial_cmp` (the
+#     sort is the tests' oracle).
 #
 # "Non-test" is what scripts/nontest_lines.sh counts: the lines before a
 # file's first `#[cfg(test)]`. Run from CI's `test` job.
@@ -46,5 +49,8 @@ spawn_sites=$(nontest crates/tensor/src/parallel.rs | grep -v '^[^:]*:[0-9]*:[[:
 forbid "Cbsr::index_at in a kernel's non-test code (take the Rows view once per call instead)" \
     "$(nontest crates/core/src/spgemm.rs crates/core/src/sspmm.rs crates/core/src/subset.rs \
         crates/core/src/maxk.rs crates/nn/src/plan.rs | grep 'index_at(' || true)"
+
+forbid "a sort or partial_cmp in crates/core/src/maxk.rs outside its tests" \
+    "$(nontest crates/core/src/maxk.rs | grep -e 'sort' -e 'partial_cmp' || true)"
 
 exit "$status"

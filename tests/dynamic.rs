@@ -466,9 +466,9 @@ fn mixed_read_write_holds_staleness_and_books() {
     );
 }
 
-/// A non-finite feature write is refused where it enters — it would
-/// otherwise panic top-k selection (`exact_select` has no order for NaN)
-/// inside a forward worker. The whole batch is dropped: epoch, graph and
+/// A non-finite feature write is refused where it enters — top-k
+/// selection ranks a NaN above +∞, so it would otherwise reach the logits
+/// of every node in its cone. The whole batch is dropped: epoch, graph and
 /// features stay put, and the server keeps answering bitwise-correctly.
 #[test]
 fn non_finite_feature_write_is_rejected_and_serving_continues() {

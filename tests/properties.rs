@@ -84,9 +84,18 @@ proptest! {
         seed in 0u64..5000
     ) {
         let x = Matrix::xavier(20, 32, &mut rand::rngs::StdRng::seed_from_u64(seed));
-        let exact = maxk_forward(&x, 8).expect("k <= dim");
         let (pivot, _) = maxk_forward_pivot(&x, 8).expect("k <= dim");
-        prop_assert_eq!(exact, pivot);
+        prop_assert_eq!(&pivot, &maxk_forward(&x, 8).expect("k <= dim"));
+        // Exact is what a full sort by (value desc, column asc) keeps.
+        for r in 0..20 {
+            let row = x.row(r);
+            let mut order: Vec<usize> = (0..32).collect();
+            order.sort_by(|&a, &b| row[b].partial_cmp(&row[a]).expect("no NaN").then(a.cmp(&b)));
+            order.truncate(8);
+            order.sort_unstable();
+            let got: Vec<usize> = (0..8).map(|t| pivot.index_at(r, t)).collect();
+            prop_assert_eq!(got, order);
+        }
     }
 
     #[test]
