@@ -233,6 +233,7 @@ fn select_row<I: TryFrom<usize, Error: Debug>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maxk_tensor::ops;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -505,6 +506,24 @@ mod tests {
                     assert_eq!(dense.get(r, cidx), 2.0);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn input_gradient_over_the_scatter_is_bitwise_the_dot_product() {
+        // `Linear`'s `dX = dZ · Wᵀ` over `maxk_backward`'s scatter
+        // (`Cbsr::to_dense`): the zero-skipping row kernel against
+        // `matmul_reference` on `Wᵀ`, whose every element is the
+        // strict-order dot product of row `i` of `dZ` with row `j` of `W`.
+        let w = random(96, 128, 29);
+        for k in [1, 16, 128] {
+            let dz = maxk_backward(&maxk_forward(&random(300, 128, 31), k).unwrap());
+            let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&ops::matmul_a_bt(&dz, &w)),
+                bits(&ops::matmul_reference(&dz, &w.transposed())),
+                "k = {k}"
+            );
         }
     }
 

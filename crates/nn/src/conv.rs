@@ -333,8 +333,10 @@ impl Conv {
         y
     }
 
-    /// Backward pass: consumes the forward caches, accumulates parameter
-    /// gradients, returns the gradient w.r.t. the layer input.
+    /// Backward pass: consumes the forward caches and accumulates parameter
+    /// gradients. The gradient w.r.t. the layer input — the `dz · Wᵀ`
+    /// products, SAGE's self term and the dropout mask — is formed only
+    /// when `input_grad` is set, and returned then; otherwise `None`.
     ///
     /// # Panics
     ///
@@ -343,8 +345,9 @@ impl Conv {
         &mut self,
         ctx: &GraphContext,
         dy: &Matrix,
+        input_grad: bool,
         timers: &mut PhaseTimers,
-    ) -> Matrix {
+    ) -> Option<Matrix> {
         let x_in = self.cache_input.take().expect("backward before forward");
 
         let scale = 1.0 + self.eps;
@@ -377,16 +380,24 @@ impl Conv {
             }
         };
 
-        let mut dx = timers.time_linear(|| self.lin_neigh.backward(&x_in, &dz));
+        timers.time_linear(|| self.lin_neigh.accumulate_grads(&x_in, &dz));
         if let Some(lin_self) = self.lin_self.as_mut() {
-            let dx_self = timers.time_linear(|| lin_self.backward(&x_in, dy));
-            timers.time_other(|| ops::add_assign(&mut dx, &dx_self));
+            timers.time_linear(|| lin_self.accumulate_grads(&x_in, dy));
+        }
+        let mask = self.cache_dropout.take();
+        if !input_grad {
+            return None;
         }
 
-        if let Some(mask) = self.cache_dropout.take() {
-            return timers.time_other(|| ops::dropout_backward(&dx, &mask, self.dropout));
+        let mut dx = timers.time_linear(|| ops::matmul_a_bt(&dz, self.lin_neigh.weight()));
+        if let Some(lin_self) = &self.lin_self {
+            let dx_self = timers.time_linear(|| ops::matmul_a_bt(dy, lin_self.weight()));
+            timers.time_other(|| ops::add_assign(&mut dx, &dx_self));
         }
-        dx
+        Some(match mask {
+            Some(mask) => timers.time_other(|| ops::dropout_backward(&dx, &mask, self.dropout)),
+            None => dx,
+        })
     }
 
     /// Clears accumulated gradients.
@@ -439,7 +450,7 @@ mod tests {
         let mut timers = PhaseTimers::default();
         let y = conv.forward(&ctx, &x, false, &mut rng, &mut timers);
         let dy = Matrix::filled(80, 6, 1.0);
-        let dx = conv.backward(&ctx, &dy, &mut timers);
+        let dx = conv.backward(&ctx, &dy, true, &mut timers).unwrap();
         (y, dx)
     }
 
@@ -502,7 +513,7 @@ mod tests {
                 // Objective: sum(Y). dY = ones.
                 let _ = conv.forward(&ctx, &x, false, &mut rng, &mut timers);
                 let dy = Matrix::filled(24, 4, 1.0);
-                let dx = conv.backward(&ctx, &dy, &mut timers);
+                let dx = conv.backward(&ctx, &dy, true, &mut timers).unwrap();
                 let h = 3e-3f32;
                 // Spot-check a handful of coordinates.
                 for &(r, c) in &[(0usize, 0usize), (3, 2), (10, 5), (23, 1)] {
@@ -546,7 +557,7 @@ mod tests {
             let mut lin = conv.lin_neigh.clone();
             conv.forward(&ctx, &x, false, &mut rng, &mut timers);
             assert_eq!(conv.cache_z.is_some(), act == Some(Activation::Relu));
-            let dx = conv.backward(&ctx, &dy, &mut timers);
+            let dx = conv.backward(&ctx, &dy, true, &mut timers).unwrap();
             assert!(conv.cache_z.is_none());
 
             // The same gradients from the kernels alone, `z` recomputed.
@@ -591,7 +602,7 @@ mod tests {
         let x = Matrix::xavier(30, 6, &mut rng);
         let mut timers = PhaseTimers::default();
         let _ = conv.forward(&ctx, &x, false, &mut rng, &mut timers);
-        let _ = conv.backward(&ctx, &Matrix::filled(30, 3, 1.0), &mut timers);
+        let _ = conv.backward(&ctx, &Matrix::filled(30, 3, 1.0), false, &mut timers);
         conv.zero_grad();
         // After zero_grad, an optimizer step must be a no-op.
         let before = conv.lin_neigh.weight().clone();

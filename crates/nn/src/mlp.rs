@@ -116,7 +116,7 @@ pub fn approximate_square(cfg: &MlpConfig) -> ApproxResult {
             }
             _ => unreachable!("MaxK always caches its pattern"),
         };
-        let _ = l1.backward(&x, &dz);
+        l1.accumulate_grads(&x, &dz);
         // Step.
         opt.next_step();
         for (slot, (p, g)) in l1.params_and_grads().into_iter().enumerate() {

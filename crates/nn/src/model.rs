@@ -376,10 +376,12 @@ impl GnnModel {
     }
 
     /// Backward pass from the loss gradient; accumulates parameter grads.
+    /// The model input has no gradient, so layer 0 forms no `dX`.
     pub fn backward(&mut self, dlogits: &Matrix) {
-        let mut grad = dlogits.clone();
-        for conv in self.convs.iter_mut().rev() {
-            grad = conv.backward(&self.ctx, &grad, &mut self.timers);
+        let mut grad: Option<Matrix> = None;
+        for (layer, conv) in self.convs.iter_mut().enumerate().rev() {
+            let dy = grad.as_ref().unwrap_or(dlogits);
+            grad = conv.backward(&self.ctx, dy, layer > 0, &mut self.timers);
         }
     }
 
@@ -467,6 +469,58 @@ mod tests {
         model.step(&mut opt);
         let y2 = model.forward(&x, false, &mut rng);
         assert!(y.max_abs_diff(&y2) > 0.0, "step must change the function");
+    }
+
+    /// An "optimizer" that records each tensor's gradient bits instead of
+    /// stepping.
+    #[derive(Default)]
+    struct GradBits(Vec<(usize, Vec<u32>)>);
+
+    impl Optimizer for GradBits {
+        fn step(&mut self, param_id: usize, _: &mut [f32], grads: &[f32]) {
+            self.0
+                .push((param_id, grads.iter().map(|g| g.to_bits()).collect()));
+        }
+
+        fn learning_rate(&self) -> f32 {
+            0.0
+        }
+    }
+
+    #[test]
+    fn skipping_layer_zero_input_gradient_leaves_every_parameter_gradient_bitwise() {
+        let g = graph();
+        for arch in [Arch::Gcn, Arch::Sage, Arch::Gin] {
+            for act in [Activation::Relu, Activation::MaxK(4)] {
+                let mut cfg = config(act);
+                cfg.arch = arch;
+                cfg.dropout = 0.5;
+                let mut rng = StdRng::seed_from_u64(8);
+                let mut model = GnnModel::new(cfg, &g, &mut rng);
+                let x = Matrix::xavier(60, 10, &mut rng);
+                let dlogits = Matrix::xavier(60, 4, &mut rng);
+                let mut reference = model.clone();
+
+                let _ = model.forward(&x, true, &mut StdRng::seed_from_u64(9));
+                model.backward(&dlogits);
+
+                // The loop `backward` ran before: every layer, layer 0
+                // included, forms its input gradient.
+                let _ = reference.forward(&x, true, &mut StdRng::seed_from_u64(9));
+                let mut grad = dlogits.clone();
+                for conv in reference.convs.iter_mut().rev() {
+                    grad = conv
+                        .backward(&reference.ctx, &grad, true, &mut reference.timers)
+                        .unwrap();
+                }
+                assert_eq!(grad.shape(), x.shape());
+
+                let (mut got, mut want) = (GradBits::default(), GradBits::default());
+                model.step(&mut got);
+                reference.step(&mut want);
+                assert_eq!(got.0, want.0, "{arch:?} {act:?}");
+            }
+        }
     }
 
     #[test]

@@ -94,7 +94,7 @@ impl Linear {
         y
     }
 
-    /// Backward pass: accumulates `dW = xᵀ·dy`, `db = Σ dy`, returns
+    /// Backward pass: [`Linear::accumulate_grads`], then forms and returns
     /// `dx = dy · Wᵀ`.
     ///
     /// # Panics
@@ -102,6 +102,18 @@ impl Linear {
     /// Panics on shape mismatches between `x`, `dy` and the layer.
     #[must_use]
     pub fn backward(&mut self, x: &Matrix, dy: &Matrix) -> Matrix {
+        self.accumulate_grads(x, dy);
+        ops::matmul_a_bt(dy, &self.weight)
+    }
+
+    /// The parameter half of [`Linear::backward`]: accumulates
+    /// `dW = xᵀ·dy` and `db = Σ dy`, and forms no `dx` — for a layer whose
+    /// input needs no gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatches between `x`, `dy` and the layer.
+    pub fn accumulate_grads(&mut self, x: &Matrix, dy: &Matrix) {
         assert_eq!(x.rows(), dy.rows(), "linear backward: batch mismatch");
         assert_eq!(
             dy.cols(),
@@ -113,7 +125,6 @@ impl Linear {
         for (g, v) in self.grad_bias.iter_mut().zip(ops::column_sums(dy)) {
             *g += v;
         }
-        ops::matmul_a_bt(dy, &self.weight)
     }
 
     /// Clears accumulated gradients.
@@ -173,9 +184,10 @@ mod tests {
         assert!((layer.grad_weight.get(0, 0) - 0.5).abs() < 1e-6);
         assert!((layer.grad_weight.get(1, 1) + 2.0).abs() < 1e-6);
         assert_eq!(layer.grad_bias, vec![0.5, -1.0]);
-        // Accumulation on second call.
-        let _ = layer.backward(&x, &dy);
+        // Accumulation on second call; the params-only path adds the same.
+        layer.accumulate_grads(&x, &dy);
         assert!((layer.grad_weight.get(0, 0) - 1.0).abs() < 1e-6);
+        assert_eq!(layer.grad_bias, vec![1.0, -2.0]);
         layer.zero_grad();
         assert_eq!(layer.grad_bias, vec![0.0, 0.0]);
         assert_eq!(layer.grad_weight.get(0, 0), 0.0);

@@ -88,9 +88,17 @@ pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
 
 /// `C = A · Bᵀ` for `A: n×m`, `B: k×m`, producing `n×k`.
 ///
-/// This is the input-gradient contraction `dX = dY · Wᵀ`. Each output
-/// element is a dot product of two rows, so memory access is sequential on
-/// both operands.
+/// This is the input-gradient contraction `dX = dY · Wᵀ`: [`matmul`] against
+/// `Bᵀ`, so each output row accumulates `axpy`s over rows of `Bᵀ` and
+/// skips `A`'s zeros — a MaxK layer's `dY` has `k` of `dim` nonzero per
+/// row, so its `dX` costs `k/dim` of a dense one.
+///
+/// Every output element sums the same products, in the same order, from
+/// `0.0` as a dot product of row `i` of `A` with row `j` of `B` would; the
+/// only terms dropped are exact-zero products, so the result is bitwise
+/// that dot product's. The one divergence: a `0 · ∞` or `0 · NaN` term is
+/// skipped, as in `matmul`, so a non-finite weight meeting a zero gradient
+/// no longer yields NaN.
 ///
 /// # Panics
 ///
@@ -98,26 +106,7 @@ pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
 #[must_use]
 pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.cols(), "matmul_a_bt: column counts differ");
-    let (n, m) = a.shape();
-    let k = b.rows();
-    let mut out = Matrix::zeros(n, k);
-    let a_data = a.data();
-    let b_data = b.data();
-    parallel::par_rows_mut(out.data_mut(), k, 8, |first_row, chunk| {
-        for (local, out_row) in chunk.chunks_mut(k).enumerate() {
-            let i = first_row + local;
-            let a_row = &a_data[i * m..(i + 1) * m];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = &b_data[j * m..(j + 1) * m];
-                let mut dot = 0f32;
-                for (&av, &bv) in a_row.iter().zip(b_row) {
-                    dot += av * bv;
-                }
-                *o = dot;
-            }
-        }
-    });
-    out
+    matmul(a, &b.transposed())
 }
 
 /// Adds bias vector `b` (length `m`) to every row of `x` in place.
@@ -311,6 +300,82 @@ mod tests {
         let fast = matmul_a_bt(&a, &b);
         let slow = matmul_reference(&a, &b.transposed());
         assert!(fast.max_abs_diff(&slow) < 1e-5);
+    }
+
+    /// The oracle for `matmul_a_bt`: each output element the strict-order
+    /// dot product of row `i` of `a` with row `j` of `b`, every term kept.
+    fn matmul_a_bt_dot(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.rows());
+        for i in 0..a.rows() {
+            for j in 0..b.rows() {
+                let mut dot = 0f32;
+                for (&av, &bv) in a.row(i).iter().zip(b.row(j)) {
+                    dot += av * bv;
+                }
+                out.set(i, j, dot);
+            }
+        }
+        out
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `m` with `k` evenly spaced entries of each row kept (offset by the
+    /// row index) and `+0.0` written over the rest — the shape of a MaxK
+    /// layer's scattered gradient. `maxk-core`'s tests run the real
+    /// `Cbsr::to_dense` scatter through the same comparison.
+    fn keep_k(m: &Matrix, k: usize) -> Matrix {
+        let stride = m.cols() / k;
+        let mut out = m.clone();
+        for r in 0..m.rows() {
+            for (c, v) in out.row_mut(r).iter_mut().enumerate() {
+                if (c + r) % stride != 0 {
+                    *v = 0.0;
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn matmul_a_bt_is_bitwise_the_dot_product() {
+        // dY · Wᵀ at a hidden layer's shape: 300 rows (enough for the
+        // parallel path) × 128 wide, W 96 × 128.
+        let w = random(96, 128, 40);
+        let dense = random(300, 128, 41);
+        // MaxK rows whose zeros alternate sign, a few kept entries ±0.0.
+        let mut signed_zeros = keep_k(&dense, 16);
+        for (t, v) in signed_zeros.data_mut().iter_mut().enumerate() {
+            if *v == 0.0 || t % 7 == 0 {
+                *v = if t % 2 == 0 { 0.0 } else { -0.0 };
+            }
+        }
+        let cases = [
+            ("dense xavier", dense.clone()),
+            ("16 of 128", keep_k(&dense, 16)),
+            ("1 of 128", keep_k(&dense, 1)),
+            ("all zero", Matrix::zeros(300, 128)),
+            ("±0.0", signed_zeros),
+        ];
+        for (name, a) in &cases {
+            assert_eq!(
+                bits(&matmul_a_bt(a, &w)),
+                bits(&matmul_a_bt_dot(a, &w)),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn matmul_a_bt_skips_zero_times_infinity() {
+        // The one documented divergence from the dot product: a zero
+        // gradient entry never meets the weight it would multiply.
+        let a = Matrix::from_vec(1, 2, vec![0.0, 1.0]).unwrap();
+        let b = Matrix::from_vec(1, 2, vec![f32::INFINITY, 2.0]).unwrap();
+        assert_eq!(matmul_a_bt(&a, &b).get(0, 0), 2.0);
+        assert!(matmul_a_bt_dot(&a, &b).get(0, 0).is_nan());
     }
 
     #[test]

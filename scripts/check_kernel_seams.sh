@@ -9,7 +9,10 @@
 #     stays out of the non-test code of the hot-loop files;
 #   * MaxK selection is the bisection kernel alone: the non-test lines of
 #     crates/core/src/maxk.rs hold no `sort` and no `partial_cmp` (the
-#     sort is the tests' oracle).
+#     sort is the tests' oracle);
+#   * every dense contraction's per-element work is `ops::axpy`: the
+#     non-test body of `matmul_a_bt` in crates/tensor/src/ops.rs holds no
+#     loop of its own (it is `matmul` against `Bᵀ`).
 #
 # "Non-test" is what scripts/nontest_lines.sh counts: the lines before a
 # file's first `#[cfg(test)]`. Run from CI's `test` job.
@@ -52,5 +55,10 @@ forbid "Cbsr::index_at in a kernel's non-test code (take the Rows view once per 
 
 forbid "a sort or partial_cmp in crates/core/src/maxk.rs outside its tests" \
     "$(nontest crates/core/src/maxk.rs | grep -e 'sort' -e 'partial_cmp' || true)"
+
+forbid "a loop in matmul_a_bt's body in crates/tensor/src/ops.rs (run it on matmul's axpy rows)" \
+    "$(nontest crates/tensor/src/ops.rs |
+        awk '/:pub fn matmul_a_bt\(/ { body = 1 } body { print } body && /:[0-9]+:}$/ { exit }' |
+        grep -w -e 'for' -e 'while' -e 'loop' -e 'for_each' || true)"
 
 exit "$status"
