@@ -1,15 +1,12 @@
 //! Graph convolution layers with explicit backward passes.
 
-use maxk_core::maxk::{maxk_backward, maxk_forward};
-use maxk_core::spgemm::spgemm_forward;
-use maxk_core::spmm::spmm_rowwise;
-use maxk_core::sspmm::sspmm_backward;
-use maxk_core::Cbsr;
+use std::borrow::Cow;
+
 use maxk_graph::{normalize, Aggregator, Csr, WarpPartition};
 use maxk_tensor::{ops, Linear, Matrix};
 use rand::Rng;
 
-use crate::model::PhaseTimers;
+use crate::plan::{self, timed_lap, ForwardTimer, KernelKind, Retained};
 
 /// Model architecture (the paper evaluates all three, Table 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -124,7 +121,9 @@ impl GraphContext {
 /// One graph convolution layer.
 ///
 /// Holds the learnable linears, the architecture/activation configuration
-/// and the forward-pass caches needed by `backward`.
+/// and, between a training forward and its backward, the record that
+/// backward reads. The layer math is [`crate::plan`]'s, shared with
+/// serving.
 #[derive(Debug, Clone)]
 pub struct Conv {
     arch: Arch,
@@ -133,12 +132,8 @@ pub struct Conv {
     eps: f32,
     lin_neigh: Linear,
     lin_self: Option<Linear>,
-    // Forward caches.
-    cache_input: Option<Matrix>,
-    /// The dense pre-activation, ReLU layers only.
-    cache_z: Option<Matrix>,
-    cache_pattern: Option<Cbsr>,
-    cache_dropout: Option<Vec<bool>>,
+    /// What the last training forward kept for `backward`.
+    record: Option<Retained>,
 }
 
 impl Conv {
@@ -154,26 +149,13 @@ impl Conv {
         dropout: f32,
         rng: &mut R,
     ) -> Self {
-        let lin_self = match arch {
-            Arch::Sage => Some(Linear::new(in_dim, out_dim, rng)),
-            _ => None,
-        };
-        Conv {
-            arch,
-            activation,
-            dropout,
-            eps: 0.0,
-            lin_neigh: Linear::new(in_dim, out_dim, rng),
-            lin_self,
-            cache_input: None,
-            cache_z: None,
-            cache_pattern: None,
-            cache_dropout: None,
-        }
+        let lin_self = (arch == Arch::Sage).then(|| Linear::new(in_dim, out_dim, rng));
+        let lin_neigh = Linear::new(in_dim, out_dim, rng);
+        Conv::from_parts(arch, activation, dropout, 0.0, lin_neigh, lin_self)
     }
 
     /// Rebuilds a layer from captured parameters — the deserialization
-    /// path of [`crate::snapshot`]. Forward caches start empty.
+    /// path of [`crate::snapshot`]. No forward record is held.
     ///
     /// # Panics
     ///
@@ -204,10 +186,7 @@ impl Conv {
             eps,
             lin_neigh,
             lin_self,
-            cache_input: None,
-            cache_z: None,
-            cache_pattern: None,
-            cache_dropout: None,
+            record: None,
         }
     }
 
@@ -257,147 +236,71 @@ impl Conv {
         }
     }
 
-    /// Forward pass. `train` enables dropout; `timers` accumulates
-    /// per-phase wall-clock.
+    /// Forward pass: dropout on the input (training only, Table 3's
+    /// per-dataset rates), then [`plan::combine`] → [`plan::aggregate`],
+    /// the two phases serving runs. A training forward keeps the record
+    /// `backward` reads, taking ownership of `x` when it is the layer input
+    /// itself; an eval forward keeps nothing. When `timer` is present,
+    /// every kernel call is one of its laps.
     pub fn forward<R: Rng>(
         &mut self,
         ctx: &GraphContext,
-        x: &Matrix,
+        x: Cow<'_, Matrix>,
         train: bool,
         rng: &mut R,
-        timers: &mut PhaseTimers,
+        timer: &mut Option<(&mut ForwardTimer, usize)>,
     ) -> Matrix {
-        // Dropout on the layer input (Table 3's per-dataset rates).
-        let (x_in, mask) = if train && self.dropout > 0.0 {
-            let (d, m) = timers.time_other(|| ops::dropout_forward(x, self.dropout, rng));
-            (d, Some(m))
+        let (input, mask) = if train && self.dropout > 0.0 {
+            let (d, m) = timed_lap(timer, KernelKind::Dropout, || {
+                ops::dropout_forward(&x, self.dropout, rng)
+            });
+            drop(x);
+            (Cow::Owned(d), Some((m, self.dropout)))
         } else {
-            (x.clone(), None)
+            (x, None)
         };
-        self.cache_dropout = mask;
-
-        // Linear transform (the Linear1 of Fig. 1(b)).
-        let z = timers.time_linear(|| self.lin_neigh.forward(&x_in));
-
-        let mut y = match self.activation {
-            Some(Activation::MaxK(k)) => {
-                // MaxK nonlinearity -> CBSR -> SpGEMM aggregation.
-                let hs = timers
-                    .time_maxk(|| maxk_forward(&z, k).expect("k validated at model construction"));
-                let y = timers.time_agg(|| spgemm_forward(&ctx.adj, &hs, &ctx.part));
-                self.cache_pattern = Some(hs);
-                y
-            }
-            Some(Activation::Relu) => {
-                let h = timers.time_other(|| ops::relu(&z));
-                timers.time_agg(|| spmm_rowwise(&ctx.adj, &h))
-            }
-            None => timers.time_agg(|| spmm_rowwise(&ctx.adj, &z)),
-        };
-
-        match self.arch {
-            Arch::Sage => {
-                let self_y = timers.time_linear(|| {
-                    self.lin_self
-                        .as_ref()
-                        .expect("SAGE has a self linear")
-                        .forward(&x_in)
-                });
-                timers.time_other(|| ops::add_assign(&mut y, &self_y));
-            }
-            Arch::Gin => {
-                // (1 + ε) · h(Z) self term; h is the layer nonlinearity
-                // (identity on the output layer).
-                timers.time_other(|| {
-                    let scale = 1.0 + self.eps;
-                    match (&self.activation, &self.cache_pattern) {
-                        (Some(Activation::MaxK(_)), Some(hs)) => {
-                            hs.scatter_axpy(scale, &mut y);
-                        }
-                        (Some(Activation::Relu), _) => {
-                            ops::axpy(y.data_mut(), scale, ops::relu(&z).data());
-                        }
-                        _ => ops::axpy(y.data_mut(), scale, z.data()),
-                    }
-                });
-            }
-            Arch::Gcn => {}
-        }
-
-        self.cache_input = Some(x_in);
-        // Only ReLU's backward reads the pre-activation; a MaxK layer's
-        // mask is its CBSR pattern and the output layer has none.
-        if self.activation == Some(Activation::Relu) {
-            self.cache_z = Some(z);
-        }
+        let c = plan::combine(&self.plan_layer(), &input, None, timer);
+        let y = plan::aggregate(ctx, self.arch, self.eps, &c, None, timer);
+        // The SAGE self product and the output layer's dense `z` go here.
+        self.record = train.then(|| Retained {
+            input: input.into_owned(),
+            dropout: mask,
+            h: self.activation.map(|_| c.h),
+        });
         y
     }
 
-    /// Backward pass: consumes the forward caches and accumulates parameter
-    /// gradients. The gradient w.r.t. the layer input — the `dz · Wᵀ`
-    /// products, SAGE's self term and the dropout mask — is formed only
-    /// when `input_grad` is set, and returned then; otherwise `None`.
+    /// Backward pass: consumes the forward record and accumulates parameter
+    /// gradients — `plan::aggregate_backward`, then
+    /// `plan::combine_backward`. The gradient w.r.t. the layer input —
+    /// the `dz · Wᵀ` products, SAGE's self term and the dropout mask — is
+    /// formed only when `input_grad` is set, and returned then; otherwise
+    /// `None`.
     ///
     /// # Panics
     ///
-    /// Panics if called before `forward`.
+    /// Panics if called before a training `forward`.
     pub fn backward(
         &mut self,
         ctx: &GraphContext,
         dy: &Matrix,
         input_grad: bool,
-        timers: &mut PhaseTimers,
+        timer: &mut Option<(&mut ForwardTimer, usize)>,
     ) -> Option<Matrix> {
-        let x_in = self.cache_input.take().expect("backward before forward");
-
-        let scale = 1.0 + self.eps;
-        let dz = match self.activation {
-            Some(Activation::MaxK(_)) => {
-                let pattern = self.cache_pattern.take().expect("MaxK pattern cached");
-                // dHs = SSpMM(Aᵀ, dY) with the forward sparsity pattern.
-                let mut dhs = timers.time_agg(|| sspmm_backward(&ctx.adj_t, dy, &pattern));
-                if self.arch == Arch::Gin {
-                    // Self-path gradient flows through the same mask.
-                    timers.time_other(|| dhs.gather_axpy(scale, dy));
-                }
-                // Scatter back to the dense pre-activation gradient.
-                timers.time_maxk(|| maxk_backward(&dhs))
-            }
-            Some(Activation::Relu) => {
-                let mut dh = timers.time_agg(|| spmm_rowwise(&ctx.adj_t, dy));
-                if self.arch == Arch::Gin {
-                    timers.time_other(|| ops::axpy(dh.data_mut(), scale, dy.data()));
-                }
-                let z = self.cache_z.take().expect("ReLU pre-activation cached");
-                timers.time_other(|| ops::relu_backward(&z, &dh))
-            }
-            None => {
-                let mut dz = timers.time_agg(|| spmm_rowwise(&ctx.adj_t, dy));
-                if self.arch == Arch::Gin {
-                    timers.time_other(|| ops::axpy(dz.data_mut(), scale, dy.data()));
-                }
-                dz
-            }
-        };
-
-        timers.time_linear(|| self.lin_neigh.accumulate_grads(&x_in, &dz));
-        if let Some(lin_self) = self.lin_self.as_mut() {
-            timers.time_linear(|| lin_self.accumulate_grads(&x_in, dy));
-        }
-        let mask = self.cache_dropout.take();
-        if !input_grad {
-            return None;
-        }
-
-        let mut dx = timers.time_linear(|| ops::matmul_a_bt(&dz, self.lin_neigh.weight()));
-        if let Some(lin_self) = &self.lin_self {
-            let dx_self = timers.time_linear(|| ops::matmul_a_bt(dy, lin_self.weight()));
-            timers.time_other(|| ops::add_assign(&mut dx, &dx_self));
-        }
-        Some(match mask {
-            Some(mask) => timers.time_other(|| ops::dropout_backward(&dx, &mask, self.dropout)),
-            None => dx,
-        })
+        let kept = self
+            .record
+            .take()
+            .expect("backward before a training forward");
+        let dh = plan::aggregate_backward(ctx, self.arch, self.eps, &kept, dy, timer);
+        plan::combine_backward(
+            &mut self.lin_neigh,
+            self.lin_self.as_mut(),
+            kept,
+            dh,
+            dy,
+            input_grad,
+            timer,
+        )
     }
 
     /// Clears accumulated gradients.
@@ -431,6 +334,12 @@ impl Conv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::Activated;
+    use maxk_core::maxk::{maxk_backward, maxk_forward};
+    use maxk_core::spgemm::spgemm_forward;
+    use maxk_core::spmm::spmm_rowwise;
+    use maxk_core::sspmm::sspmm_backward;
+    use maxk_core::Cbsr;
     use maxk_graph::generate;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -441,16 +350,197 @@ mod tests {
             .unwrap()
     }
 
+    /// What the oracle layer cached between its forward and its backward.
+    #[derive(Default)]
+    struct OracleCache {
+        input: Option<Matrix>,
+        /// The dense pre-activation, ReLU layers only.
+        z: Option<Matrix>,
+        pattern: Option<Cbsr>,
+        dropout: Option<Vec<bool>>,
+    }
+
+    /// The layer as written before it ran `plan`'s halves: its own arch ×
+    /// activation match and kernel calls, and four caches. The rewritten
+    /// layer is pinned to it bit for bit.
+    fn oracle_forward<R: Rng>(
+        conv: &Conv,
+        ctx: &GraphContext,
+        x: &Matrix,
+        train: bool,
+        rng: &mut R,
+    ) -> (Matrix, OracleCache) {
+        let mut cache = OracleCache::default();
+        let (x_in, mask) = if train && conv.dropout > 0.0 {
+            let (d, m) = ops::dropout_forward(x, conv.dropout, rng);
+            (d, Some(m))
+        } else {
+            (x.clone(), None)
+        };
+        cache.dropout = mask;
+
+        let z = conv.lin_neigh.forward(&x_in);
+        let mut y = match conv.activation {
+            Some(Activation::MaxK(k)) => {
+                let hs = maxk_forward(&z, k).unwrap();
+                let y = spgemm_forward(&ctx.adj, &hs, &ctx.part);
+                cache.pattern = Some(hs);
+                y
+            }
+            Some(Activation::Relu) => spmm_rowwise(&ctx.adj, &ops::relu(&z)),
+            None => spmm_rowwise(&ctx.adj, &z),
+        };
+        match conv.arch {
+            Arch::Sage => {
+                let self_y = conv.lin_self.as_ref().unwrap().forward(&x_in);
+                ops::add_assign(&mut y, &self_y);
+            }
+            Arch::Gin => {
+                let scale = 1.0 + conv.eps;
+                match (&conv.activation, &cache.pattern) {
+                    (Some(Activation::MaxK(_)), Some(hs)) => hs.scatter_axpy(scale, &mut y),
+                    (Some(Activation::Relu), _) => {
+                        ops::axpy(y.data_mut(), scale, ops::relu(&z).data());
+                    }
+                    _ => ops::axpy(y.data_mut(), scale, z.data()),
+                }
+            }
+            Arch::Gcn => {}
+        }
+        cache.input = Some(x_in);
+        if conv.activation == Some(Activation::Relu) {
+            cache.z = Some(z);
+        }
+        (y, cache)
+    }
+
+    /// The oracle's backward over its [`OracleCache`].
+    fn oracle_backward(
+        conv: &mut Conv,
+        ctx: &GraphContext,
+        mut cache: OracleCache,
+        dy: &Matrix,
+        input_grad: bool,
+    ) -> Option<Matrix> {
+        let x_in = cache.input.take().unwrap();
+        let scale = 1.0 + conv.eps;
+        let dz = match conv.activation {
+            Some(Activation::MaxK(_)) => {
+                let pattern = cache.pattern.take().unwrap();
+                let mut dhs = sspmm_backward(&ctx.adj_t, dy, &pattern);
+                if conv.arch == Arch::Gin {
+                    dhs.gather_axpy(scale, dy);
+                }
+                maxk_backward(&dhs)
+            }
+            Some(Activation::Relu) => {
+                let mut dh = spmm_rowwise(&ctx.adj_t, dy);
+                if conv.arch == Arch::Gin {
+                    ops::axpy(dh.data_mut(), scale, dy.data());
+                }
+                ops::relu_backward(&cache.z.take().unwrap(), &dh)
+            }
+            None => {
+                let mut dz = spmm_rowwise(&ctx.adj_t, dy);
+                if conv.arch == Arch::Gin {
+                    ops::axpy(dz.data_mut(), scale, dy.data());
+                }
+                dz
+            }
+        };
+        conv.lin_neigh.accumulate_grads(&x_in, &dz);
+        if let Some(lin_self) = conv.lin_self.as_mut() {
+            lin_self.accumulate_grads(&x_in, dy);
+        }
+        if !input_grad {
+            return None;
+        }
+        let mut dx = ops::matmul_a_bt(&dz, conv.lin_neigh.weight());
+        if let Some(lin_self) = &conv.lin_self {
+            let dx_self = ops::matmul_a_bt(dy, lin_self.weight());
+            ops::add_assign(&mut dx, &dx_self);
+        }
+        Some(match cache.dropout {
+            Some(mask) => ops::dropout_backward(&dx, &mask, conv.dropout),
+            None => dx,
+        })
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every parameter gradient of `conv`, as bits.
+    fn grad_bits(conv: &mut Conv) -> Vec<Vec<u32>> {
+        let mut out: Vec<Vec<u32>> = conv
+            .lin_neigh
+            .params_and_grads()
+            .iter()
+            .map(|(_, g)| bits(g))
+            .collect();
+        if let Some(l) = conv.lin_self.as_mut() {
+            out.extend(l.params_and_grads().iter().map(|(_, g)| bits(g)));
+        }
+        out
+    }
+
+    #[test]
+    fn layer_matches_the_oracle_bitwise() {
+        let g = graph(90, 21);
+        for arch in [Arch::Gcn, Arch::Sage, Arch::Gin] {
+            let ctx = GraphContext::build(&g, arch, 16);
+            for act in [Some(Activation::Relu), Some(Activation::MaxK(4)), None] {
+                for dropout in [0.0, 0.5] {
+                    let mut rng = StdRng::seed_from_u64(41);
+                    let fresh = Conv::new(arch, act, 10, 7, dropout, &mut rng);
+                    // A non-zero ε, so GIN's (1 + ε) terms are exercised.
+                    let mut conv =
+                        Conv::from_parts(arch, act, dropout, 0.25, fresh.lin_neigh, fresh.lin_self);
+                    let mut oracle = conv.clone();
+                    let x = Matrix::xavier(90, 10, &mut rng);
+                    let dy = Matrix::xavier(90, 7, &mut rng);
+                    let at = format!("{arch:?} {act:?} dropout {dropout}");
+
+                    let mut timer = ForwardTimer::new();
+                    let y = conv.forward(
+                        &ctx,
+                        Cow::Borrowed(&x),
+                        true,
+                        &mut StdRng::seed_from_u64(5),
+                        &mut Some((&mut timer, 0)),
+                    );
+                    let (want_y, cache) =
+                        oracle_forward(&oracle, &ctx, &x, true, &mut StdRng::seed_from_u64(5));
+                    assert_eq!(bits(y.data()), bits(want_y.data()), "{at}: output");
+
+                    let dx = conv.backward(&ctx, &dy, true, &mut Some((&mut timer, 0)));
+                    let want_dx = oracle_backward(&mut oracle, &ctx, cache, &dy, true);
+                    assert_eq!(
+                        bits(dx.unwrap().data()),
+                        bits(want_dx.unwrap().data()),
+                        "{at}: dX"
+                    );
+                    assert_eq!(grad_bits(&mut conv), grad_bits(&mut oracle), "{at}: grads");
+                    let dropout_laps = timer
+                        .laps()
+                        .iter()
+                        .filter(|&&(_, k, _)| k == KernelKind::Dropout)
+                        .count();
+                    assert_eq!(dropout_laps, if dropout > 0.0 { 2 } else { 0 }, "{at}");
+                }
+            }
+        }
+    }
+
     fn forward_backward(arch: Arch, activation: Option<Activation>) -> (Matrix, Matrix) {
         let g = graph(80, 3);
         let ctx = GraphContext::build(&g, arch, 16);
         let mut rng = StdRng::seed_from_u64(7);
         let mut conv = Conv::new(arch, activation, 12, 6, 0.0, &mut rng);
         let x = Matrix::xavier(80, 12, &mut rng);
-        let mut timers = PhaseTimers::default();
-        let y = conv.forward(&ctx, &x, false, &mut rng, &mut timers);
+        let y = conv.forward(&ctx, Cow::Borrowed(&x), true, &mut rng, &mut None);
         let dy = Matrix::filled(80, 6, 1.0);
-        let dx = conv.backward(&ctx, &dy, true, &mut timers).unwrap();
+        let dx = conv.backward(&ctx, &dy, true, &mut None).unwrap();
         (y, dx)
     }
 
@@ -509,11 +599,10 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(13);
                 let mut conv = Conv::new(arch, act, 6, 4, 0.0, &mut rng);
                 let x = Matrix::xavier(24, 6, &mut rng);
-                let mut timers = PhaseTimers::default();
                 // Objective: sum(Y). dY = ones.
-                let _ = conv.forward(&ctx, &x, false, &mut rng, &mut timers);
+                let _ = conv.forward(&ctx, Cow::Borrowed(&x), true, &mut rng, &mut None);
                 let dy = Matrix::filled(24, 4, 1.0);
-                let dx = conv.backward(&ctx, &dy, true, &mut timers).unwrap();
+                let dx = conv.backward(&ctx, &dy, true, &mut None).unwrap();
                 let h = 3e-3f32;
                 // Spot-check a handful of coordinates.
                 for &(r, c) in &[(0usize, 0usize), (3, 2), (10, 5), (23, 1)] {
@@ -522,12 +611,12 @@ mod tests {
                     let mut xm = x.clone();
                     xm.set(r, c, x.get(r, c) - h);
                     let fp: f32 = conv
-                        .forward(&ctx, &xp, false, &mut rng, &mut timers)
+                        .forward(&ctx, Cow::Borrowed(&xp), false, &mut rng, &mut None)
                         .data()
                         .iter()
                         .sum();
                     let fm: f32 = conv
-                        .forward(&ctx, &xm, false, &mut rng, &mut timers)
+                        .forward(&ctx, Cow::Borrowed(&xm), false, &mut rng, &mut None)
                         .data()
                         .iter()
                         .sum();
@@ -545,20 +634,34 @@ mod tests {
     }
 
     #[test]
-    fn only_relu_layers_keep_the_pre_activation_for_backward() {
+    fn only_hidden_layers_keep_their_activated_operand_for_backward() {
         let g = graph(80, 3);
         let ctx = GraphContext::build(&g, Arch::Gcn, 16);
         let mut rng = StdRng::seed_from_u64(7);
         let x = Matrix::xavier(80, 12, &mut rng);
         let dy = Matrix::xavier(80, 6, &mut rng);
-        let mut timers = PhaseTimers::default();
         for act in [Some(Activation::MaxK(3)), None, Some(Activation::Relu)] {
             let mut conv = Conv::new(Arch::Gcn, act, 12, 6, 0.0, &mut rng);
             let mut lin = conv.lin_neigh.clone();
-            conv.forward(&ctx, &x, false, &mut rng, &mut timers);
-            assert_eq!(conv.cache_z.is_some(), act == Some(Activation::Relu));
-            let dx = conv.backward(&ctx, &dy, true, &mut timers).unwrap();
-            assert!(conv.cache_z.is_none());
+            // An eval forward keeps no record.
+            conv.forward(&ctx, Cow::Borrowed(&x), false, &mut rng, &mut None);
+            assert!(conv.record.is_none());
+            conv.forward(&ctx, Cow::Borrowed(&x), true, &mut rng, &mut None);
+            let kept = conv.record.as_ref().unwrap();
+            assert_eq!(kept.input, x, "{act:?}");
+            assert!(kept.dropout.is_none(), "{act:?}");
+            match (act, &kept.h) {
+                (Some(Activation::MaxK(3)), Some(Activated::Sparse(c))) => {
+                    assert_eq!(c.k(), 3);
+                }
+                (Some(Activation::Relu), Some(Activated::Dense(h))) => {
+                    assert_eq!(h, &ops::relu(&lin.forward(&x)));
+                }
+                (None, None) => {}
+                (act, kept) => panic!("{act:?} kept {kept:?}"),
+            }
+            let dx = conv.backward(&ctx, &dy, true, &mut None).unwrap();
+            assert!(conv.record.is_none());
 
             // The same gradients from the kernels alone, `z` recomputed.
             let z = lin.forward(&x);
@@ -584,12 +687,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         let mut conv = Conv::new(Arch::Gcn, Some(Activation::Relu), 8, 4, 0.5, &mut rng);
         let x = Matrix::filled(40, 8, 1.0);
-        let mut timers = PhaseTimers::default();
-        let eval1 = conv.forward(&ctx, &x, false, &mut rng, &mut timers);
-        let eval2 = conv.forward(&ctx, &x, false, &mut rng, &mut timers);
+        let mut forward = |train| conv.forward(&ctx, Cow::Borrowed(&x), train, &mut rng, &mut None);
+        let eval1 = forward(false);
+        let eval2 = forward(false);
         assert_eq!(eval1, eval2, "eval mode must be deterministic");
-        let tr1 = conv.forward(&ctx, &x, true, &mut rng, &mut timers);
-        let tr2 = conv.forward(&ctx, &x, true, &mut rng, &mut timers);
+        let tr1 = forward(true);
+        let tr2 = forward(true);
         assert_ne!(tr1, tr2, "dropout must randomize training forward");
     }
 
@@ -600,9 +703,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(29);
         let mut conv = Conv::new(Arch::Sage, Some(Activation::MaxK(2)), 6, 3, 0.0, &mut rng);
         let x = Matrix::xavier(30, 6, &mut rng);
-        let mut timers = PhaseTimers::default();
-        let _ = conv.forward(&ctx, &x, false, &mut rng, &mut timers);
-        let _ = conv.backward(&ctx, &Matrix::filled(30, 3, 1.0), false, &mut timers);
+        let _ = conv.forward(&ctx, Cow::Borrowed(&x), true, &mut rng, &mut None);
+        let _ = conv.backward(&ctx, &Matrix::filled(30, 3, 1.0), false, &mut None);
         conv.zero_grad();
         // After zero_grad, an optimizer step must be a no-op.
         let before = conv.lin_neigh.weight().clone();

@@ -14,8 +14,10 @@
 //!   CBSR, and the backward pass uses the SSpMM kernel with the sparsity
 //!   pattern inherited from the forward pass.
 //!
-//! Per-phase wall-clock timers ([`PhaseTimers`]) record where each epoch
-//! goes (SpMM vs Linear vs MaxK vs other), powering the Fig. 1(c)
+//! Training and serving run one layer dataflow ([`plan`]'s `combine` →
+//! `aggregate`); every kernel call is a [`plan::KernelKind`] lap, and
+//! [`PhaseTimers`] folds a model's laps into where each epoch goes
+//! (aggregation vs linear vs MaxK vs other), powering the Fig. 1(c)
 //! breakdown and the Amdahl's-law speedup limits of Fig. 9.
 
 #![forbid(unsafe_code)]

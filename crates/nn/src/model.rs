@@ -1,25 +1,31 @@
 //! Stacked GNN models and the per-phase wall-clock breakdown.
 
 use crate::conv::{Activation, Arch, Conv, GraphContext};
-use crate::plan::{ForwardPlan, PlanLayer};
-use maxk_graph::Csr;
+use crate::plan::{self, ForwardPlan, ForwardTimer, KernelKind, PlanLayer};
+use maxk_graph::{Csr, Frontier};
 use maxk_tensor::{Matrix, Optimizer};
-use rand::{Rng, SeedableRng};
-use std::time::{Duration, Instant};
+use rand::Rng;
+use std::borrow::Cow;
+use std::time::Duration;
 
-/// Wall-clock accumulators for the pipeline phases of Fig. 1(c).
+/// Wall-clock accumulators for the pipeline phases of Fig. 1(c), folded
+/// from the model's kernel laps ([`PhaseTimers::fold`]) — the same
+/// [`KernelKind`] laps serving records.
 ///
 /// `agg` is the sparse aggregation (SpMM / SpGEMM / SSpMM) — the paper's
 /// `p_SpMM` numerator in the Amdahl's-law limit `S = 1 / (1 − p_SpMM)`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTimers {
-    /// Sparse aggregation time (forward + backward kernels).
+    /// Sparse aggregation time, forward and backward, with the SAGE self
+    /// add and the GIN residual ([`KernelKind::SpMM`] and
+    /// [`KernelKind::SSpMM`] laps).
     pub agg: Duration,
-    /// Dense linear-layer time (forward + backward).
+    /// Dense linear-layer time, forward and backward, with ReLU and its
+    /// mask ([`KernelKind::DenseLinear`] laps).
     pub linear: Duration,
-    /// MaxK selection / scatter time.
+    /// MaxK selection / scatter time ([`KernelKind::MaxK`] laps).
     pub maxk: Duration,
-    /// Everything else (dropout, elementwise, losses measured by caller).
+    /// Every other lap (dropout, and a partial plan's row gathers).
     pub other: Duration,
 }
 
@@ -51,49 +57,16 @@ impl PhaseTimers {
         }
     }
 
-    /// Resets all accumulators.
-    pub fn reset(&mut self) {
-        *self = PhaseTimers::default();
-    }
-
-    /// Adds another breakdown into this one.
-    pub fn merge(&mut self, other: &PhaseTimers) {
-        self.agg += other.agg;
-        self.linear += other.linear;
-        self.maxk += other.maxk;
-        self.other += other.other;
-    }
-
-    /// Times `f` into the aggregation bucket.
-    pub fn time_agg<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let out = f();
-        self.agg += t0.elapsed();
-        out
-    }
-
-    /// Times `f` into the linear bucket.
-    pub fn time_linear<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let out = f();
-        self.linear += t0.elapsed();
-        out
-    }
-
-    /// Times `f` into the MaxK bucket.
-    pub fn time_maxk<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let out = f();
-        self.maxk += t0.elapsed();
-        out
-    }
-
-    /// Times `f` into the other bucket.
-    pub fn time_other<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let out = f();
-        self.other += t0.elapsed();
-        out
+    /// Adds each lap's duration to its kernel class's bucket.
+    pub fn fold(&mut self, laps: &[(usize, KernelKind, Duration)]) {
+        for &(_, kind, d) in laps {
+            *match kind {
+                KernelKind::SpMM | KernelKind::SSpMM => &mut self.agg,
+                KernelKind::DenseLinear => &mut self.linear,
+                KernelKind::MaxK => &mut self.maxk,
+                _ => &mut self.other,
+            } += d;
+        }
     }
 }
 
@@ -190,6 +163,22 @@ impl ModelConfig {
         }
         assert!(self.num_layers >= 2, "need at least input + output layers");
     }
+
+    /// Layer `layer`'s `(in_dim, out_dim, activation)`: hidden layers are
+    /// `hidden_dim` wide and carry the activation, the output layer has
+    /// none.
+    pub(crate) fn layer_shape(&self, layer: usize) -> (usize, usize, Option<Activation>) {
+        let in_dim = if layer == 0 {
+            self.in_dim
+        } else {
+            self.hidden_dim
+        };
+        if layer + 1 == self.num_layers {
+            (in_dim, self.out_dim, None)
+        } else {
+            (in_dim, self.hidden_dim, Some(self.activation))
+        }
+    }
 }
 
 /// A stacked GNN: `num_layers` convolutions, hidden activations on all but
@@ -213,32 +202,12 @@ impl GnnModel {
     pub fn new<R: Rng>(cfg: ModelConfig, graph: &Csr, rng: &mut R) -> Self {
         cfg.validate();
         let ctx = GraphContext::build(graph, cfg.arch, cfg.eg_width);
-        let mut convs = Vec::with_capacity(cfg.num_layers);
-        for layer in 0..cfg.num_layers {
-            let in_dim = if layer == 0 {
-                cfg.in_dim
-            } else {
-                cfg.hidden_dim
-            };
-            let out_dim = if layer + 1 == cfg.num_layers {
-                cfg.out_dim
-            } else {
-                cfg.hidden_dim
-            };
-            let activation = if layer + 1 == cfg.num_layers {
-                None
-            } else {
-                Some(cfg.activation)
-            };
-            convs.push(Conv::new(
-                cfg.arch,
-                activation,
-                in_dim,
-                out_dim,
-                cfg.dropout,
-                rng,
-            ));
-        }
+        let convs = (0..cfg.num_layers)
+            .map(|layer| {
+                let (in_dim, out_dim, activation) = cfg.layer_shape(layer);
+                Conv::new(cfg.arch, activation, in_dim, out_dim, cfg.dropout, rng)
+            })
+            .collect();
         GnnModel {
             cfg,
             ctx,
@@ -259,25 +228,11 @@ impl GnnModel {
         cfg.validate();
         assert_eq!(convs.len(), cfg.num_layers, "layer count mismatch");
         for (layer, conv) in convs.iter().enumerate() {
+            let (in_dim, out_dim, activation) = cfg.layer_shape(layer);
             assert_eq!(conv.arch(), cfg.arch, "layer {layer} architecture");
-            let in_dim = if layer == 0 {
-                cfg.in_dim
-            } else {
-                cfg.hidden_dim
-            };
-            let out_dim = if layer + 1 == cfg.num_layers {
-                cfg.out_dim
-            } else {
-                cfg.hidden_dim
-            };
             assert_eq!(conv.in_dim(), in_dim, "layer {layer} in_dim");
             assert_eq!(conv.out_dim(), out_dim, "layer {layer} out_dim");
-            let expected_act = if layer + 1 == cfg.num_layers {
-                None
-            } else {
-                Some(cfg.activation)
-            };
-            assert_eq!(conv.activation(), expected_act, "layer {layer} activation");
+            assert_eq!(conv.activation(), activation, "layer {layer} activation");
         }
         let ctx = GraphContext::build(graph, cfg.arch, cfg.eg_width);
         GnnModel {
@@ -311,13 +266,40 @@ impl GnnModel {
         self.convs.iter().map(|c| c.plan_layer().cost()).collect()
     }
 
-    /// Forward pass over all layers; returns logits.
+    /// Forward pass over all layers; returns logits. A training forward
+    /// runs each layer's [`Conv::forward`], which keeps what backward
+    /// reads; an eval forward is [`plan::forward`] over all rows and keeps
+    /// nothing. Both fold their kernel laps into [`GnnModel::timers`].
     pub fn forward<R: Rng>(&mut self, x: &Matrix, train: bool, rng: &mut R) -> Matrix {
-        let mut h = x.clone();
-        for conv in &mut self.convs {
-            h = conv.forward(&self.ctx, &h, train, rng, &mut self.timers);
+        if !train {
+            return self.eval(x, None);
         }
-        h
+        let mut timer = ForwardTimer::new();
+        let mut h = Cow::Borrowed(x);
+        for (l, conv) in self.convs.iter_mut().enumerate() {
+            let y = conv.forward(&self.ctx, h, true, rng, &mut Some((&mut timer, l)));
+            h = Cow::Owned(y);
+        }
+        self.timers.fold(timer.laps());
+        h.into_owned()
+    }
+
+    /// The eval forward over every row (`frontier` is `None`) or down a
+    /// partial plan's frontier, laps folded into the timers.
+    fn eval(&mut self, x: &Matrix, frontier: Option<&Frontier>) -> Matrix {
+        let mut timer = ForwardTimer::new();
+        let layers: Vec<PlanLayer<'_>> = self.convs.iter().map(Conv::plan_layer).collect();
+        let input = plan::Input::Features(x);
+        let y = plan::forward(
+            &self.ctx,
+            self.cfg.arch,
+            &layers,
+            input,
+            frontier,
+            Some(&mut timer),
+        );
+        self.timers.fold(timer.laps());
+        y
     }
 
     /// Eval-mode forward restricted to a seed set, following `plan`.
@@ -336,53 +318,28 @@ impl GnnModel {
         assert!(!seeds.is_empty(), "forward_planned needs seeds");
         let n = self.ctx.adj.num_nodes();
         assert!(seeds.iter().all(|&s| (s as usize) < n), "seed out of range");
-        let gather = |m: &Matrix, rows: &dyn Fn(u32) -> usize| {
-            let mut out = Matrix::zeros(seeds.len(), m.cols());
-            for (r, &s) in seeds.iter().enumerate() {
-                out.row_mut(r).copy_from_slice(m.row(rows(s)));
-            }
-            out
-        };
-        match plan {
-            ForwardPlan::Full => {
-                // Eval mode never touches the RNG (no dropout).
-                let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-                let all = self.forward(x, false, &mut rng);
-                gather(&all, &|s| s as usize)
-            }
-            ForwardPlan::Partial(frontier) => {
-                assert_eq!(
-                    frontier.hops(),
-                    self.cfg.num_layers,
-                    "frontier depth must match the model"
-                );
-                let layers: Vec<PlanLayer<'_>> = self.convs.iter().map(Conv::plan_layer).collect();
-                let compact = crate::plan::forward(
-                    &self.ctx,
-                    self.cfg.arch,
-                    &layers,
-                    crate::plan::Input::Features(x),
-                    Some(frontier),
-                    None,
-                );
-                gather(&compact, &|s| {
-                    frontier
-                        .seeds()
-                        .compact(s)
-                        .expect("plan frontier must contain every requested seed")
-                })
-            }
+        let frontier = plan.frontier();
+        let out = self.eval(x, frontier);
+        let mut rows = Matrix::zeros(seeds.len(), out.cols());
+        for (r, &s) in seeds.iter().enumerate() {
+            let row = frontier.map_or(Some(s as usize), |f| f.seeds().compact(s));
+            let row = row.expect("plan frontier must contain every requested seed");
+            rows.row_mut(r).copy_from_slice(out.row(row));
         }
+        rows
     }
 
     /// Backward pass from the loss gradient; accumulates parameter grads.
     /// The model input has no gradient, so layer 0 forms no `dX`.
     pub fn backward(&mut self, dlogits: &Matrix) {
+        let mut timer = ForwardTimer::new();
         let mut grad: Option<Matrix> = None;
         for (layer, conv) in self.convs.iter_mut().enumerate().rev() {
             let dy = grad.as_ref().unwrap_or(dlogits);
-            grad = conv.backward(&self.ctx, dy, layer > 0, &mut self.timers);
+            let slot = &mut Some((&mut timer, layer));
+            grad = conv.backward(&self.ctx, dy, layer > 0, slot);
         }
+        self.timers.fold(timer.laps());
     }
 
     /// Zeroes every layer's gradients.
@@ -407,7 +364,7 @@ impl GnnModel {
 
     /// Resets the phase breakdown.
     pub fn reset_timers(&mut self) {
-        self.timers.reset();
+        self.timers = PhaseTimers::default();
     }
 
     /// Total learnable parameters.
@@ -510,7 +467,7 @@ mod tests {
                 let mut grad = dlogits.clone();
                 for conv in reference.convs.iter_mut().rev() {
                     grad = conv
-                        .backward(&reference.ctx, &grad, true, &mut reference.timers)
+                        .backward(&reference.ctx, &grad, true, &mut None)
                         .unwrap();
                 }
                 assert_eq!(grad.shape(), x.shape());
@@ -574,21 +531,7 @@ mod tests {
         };
         let convs = (0..cfg.num_layers)
             .map(|layer| {
-                let in_dim = if layer == 0 {
-                    cfg.in_dim
-                } else {
-                    cfg.hidden_dim
-                };
-                let out_dim = if layer + 1 == cfg.num_layers {
-                    cfg.out_dim
-                } else {
-                    cfg.hidden_dim
-                };
-                let act = if layer + 1 == cfg.num_layers {
-                    None
-                } else {
-                    Some(cfg.activation)
-                };
+                let (in_dim, out_dim, act) = cfg.layer_shape(layer);
                 let lin = maxk_tensor::Linear::new(in_dim, out_dim, &mut rng);
                 Conv::from_parts(Arch::Gcn, act, 0.0, 0.0, lin, None)
             })

@@ -1,4 +1,5 @@
-//! Forward planning: full-graph vs. seed-restricted partial forward.
+//! Forward planning: full-graph vs. seed-restricted partial forward, and
+//! the one layer dataflow training and serving share.
 //!
 //! A serving batch only needs logits at its seed union, so when the
 //! union's reverse L-hop frontier (see `maxk_graph::frontier`) touches a
@@ -12,11 +13,15 @@
 //! [`combine`] (linear + bias, MaxK → CBSR, the SAGE self product) then
 //! [`aggregate`] (SpGEMM/SpMM and the self/GIN add), with
 //! `eval_layer = aggregate ∘ combine`. [`forward`] drives the layers over
-//! all rows or down a frontier; [`crate::GnnModel::forward_planned`] and
-//! `maxk-serve`'s `InferenceEngine` route through it, so the serving
-//! layer math lives in exactly one place (`Conv::forward` stays separate:
-//! it is the training path and the reference the engine is compared
-//! against).
+//! all rows or down a frontier; [`crate::GnnModel::forward`] in eval mode,
+//! [`crate::GnnModel::forward_planned`] and `maxk-serve`'s
+//! `InferenceEngine` route through it.
+//!
+//! A training layer ([`crate::Conv::forward`]) runs the same two
+//! functions over all rows, keeps only what its backward reads
+//! (`Retained`), and runs `aggregate_backward` then `combine_backward`:
+//! the layer's dataflow is written once per direction, all of it in this
+//! module.
 //!
 //! Layer 0's combination phase reads only the input features and the
 //! weights, so a caller whose features outlive one batch computes it once
@@ -31,20 +36,22 @@
 //! path, just skipping rows nobody asked for or rows computed earlier.
 
 use crate::conv::{Activation, Arch, GraphContext};
-use maxk_core::maxk::maxk_forward;
+use maxk_core::maxk::{maxk_backward, maxk_forward};
 use maxk_core::spgemm::spgemm_forward;
 use maxk_core::spmm::spmm_rowwise;
+use maxk_core::sspmm::sspmm_backward;
 use maxk_core::subset::{spmm_rows, sspmm_rows};
 use maxk_core::Cbsr;
 use maxk_graph::{Csr, Frontier, GraphError, NodeSet};
-use maxk_tensor::{ops, Matrix};
+use maxk_tensor::{ops, Linear, Matrix};
 use std::time::{Duration, Instant};
 
-/// The kernel classes a forward pass spends its time in, for per-layer
-/// timing ([`ForwardTimer`]). MaxK-GNN's own analysis starts from exactly
-/// this breakdown: which fraction of a layer goes to the dense linear
-/// transform vs. the sparse aggregation, and whether the aggregation runs
-/// the dense-operand SpMM or the CBSR SSpMM path.
+/// The kernel classes a layer spends its time in, for per-layer timing
+/// ([`ForwardTimer`]). MaxK-GNN's own analysis starts from exactly this
+/// breakdown: which fraction of a layer goes to the dense linear transform
+/// vs. the sparse aggregation, and whether the aggregation runs the
+/// dense-operand SpMM or the CBSR SSpMM path. A training backward laps each
+/// kernel under the class of the forward kernel it differentiates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum KernelKind {
     /// Dense linear transform of the combination phase (`matmul` + bias
@@ -61,6 +68,8 @@ pub enum KernelKind {
     /// Row gathers/scatters that remap between full-graph and
     /// frontier-compact indexing on the partial path.
     Gather,
+    /// Training's dropout on a layer input; serving never runs it.
+    Dropout,
 }
 
 impl KernelKind {
@@ -72,14 +81,16 @@ impl KernelKind {
             KernelKind::SSpMM => "sspmm",
             KernelKind::MaxK => "maxk",
             KernelKind::Gather => "gather",
+            KernelKind::Dropout => "dropout",
         }
     }
 }
 
-/// Wall-clock accumulator for one forward pass: every timed kernel call
-/// appends a `(layer, kernel, elapsed)` lap. The laps cover essentially
-/// all of a layer's work, so their sum tracks the forward's wall time
-/// closely (the telemetry acceptance check holds it within 10%).
+/// Wall-clock accumulator for one forward (or training backward) pass:
+/// every timed kernel call appends a `(layer, kernel, elapsed)` lap. The
+/// laps cover essentially all of a layer's work, so their sum tracks the
+/// forward's wall time closely (the telemetry acceptance check holds it
+/// within 10%).
 #[derive(Debug, Clone, Default)]
 pub struct ForwardTimer {
     laps: Vec<(usize, KernelKind, Duration)>,
@@ -398,9 +409,10 @@ fn positions_in(sub: &NodeSet, sup: &NodeSet) -> Vec<usize> {
 }
 
 /// A layer's neighbor operand after its activation — what the
-/// aggregation kernel reads.
+/// aggregation kernel reads — or, in a training backward, the gradient at
+/// that operand ([`aggregate_backward`]).
 #[derive(Debug, Clone, PartialEq)]
-enum Activated {
+pub(crate) enum Activated {
     /// ReLU or no activation: the row-wise SpMM operand.
     Dense(Matrix),
     /// MaxK: the CBSR operand of SpGEMM/SSpMM (§3.2); the dense
@@ -416,7 +428,7 @@ enum Activated {
 /// ([`Combined::write_rows`]) independently.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Combined {
-    h: Activated,
+    pub(crate) h: Activated,
     self_y: Option<Matrix>,
 }
 
@@ -480,6 +492,19 @@ impl Combined {
             _ => panic!("patch comes from a different architecture"),
         }
     }
+}
+
+/// What a training layer keeps between its forward and its backward, and
+/// nothing else (not the SAGE self product, not a dense `z`).
+#[derive(Debug, Clone)]
+pub(crate) struct Retained {
+    /// The layer input, after dropout.
+    pub(crate) input: Matrix,
+    /// Dropout's kept-mask and rate, when dropout ran.
+    pub(crate) dropout: Option<(Vec<bool>, f32)>,
+    /// A hidden layer's activated operand: its CBSR, or `relu(z)`, which
+    /// is `> 0` exactly where `z` is (±0.0 and NaN included).
+    pub(crate) h: Option<Activated>,
 }
 
 /// What a [`forward`] starts from.
@@ -554,11 +579,9 @@ pub fn forward(
     x
 }
 
-/// One eval-mode layer — the only copy of the arch × activation dataflow
-/// that serving runs, for full and partial plans alike: [`aggregate`] of
-/// [`combine`]. It mirrors `Conv::forward` with `train = false` (same
-/// kernels in the same order, so logits are bit-identical to the training
-/// model's eval pass).
+/// One eval-mode layer — the arch × activation dataflow serving runs, for
+/// full and partial plans alike: [`aggregate`] of [`combine`], the same
+/// two functions a training layer (`Conv::forward`) runs over all rows.
 ///
 /// `rows = None` computes every graph row from a full-graph `x` with the
 /// full kernels (`spgemm_forward` over the Edge-Group partition,
@@ -644,8 +667,8 @@ pub fn combine(
 /// the full kernels at every row; `Some((out_set, in_set))`: the
 /// `maxk_core::subset` kernels at `out_set`, `c` compact over `in_set`),
 /// then the SAGE self add or the GIN `(1 + ε)` residual at the output
-/// rows (`Cbsr::scatter_axpy` / `ops::axpy`, as in `Conv::forward`). The
-/// adds are timed with the aggregation kernel they follow.
+/// rows (`Cbsr::scatter_axpy` / `ops::axpy`). The adds are timed with the
+/// aggregation kernel they follow.
 ///
 /// # Panics
 ///
@@ -701,6 +724,98 @@ pub fn aggregate(
         Arch::Gcn => {}
     }
     y
+}
+
+/// A layer's aggregation-phase backward over what its training forward
+/// kept: `dH = Âᵀ · dY` at the activated operand — SSpMM on the forward's
+/// CBSR pattern when it is sparse (§4.2, Alg. 2), row-wise SpMM over
+/// `adj_t` otherwise — plus GIN's `(1 + ε) · dY` self term through the
+/// same pattern. The GIN term is timed with the kernel it follows, as in
+/// [`aggregate`].
+///
+/// # Panics
+///
+/// Panics when shapes disagree.
+#[must_use]
+pub(crate) fn aggregate_backward(
+    ctx: &GraphContext,
+    arch: Arch,
+    eps: f32,
+    kept: &Retained,
+    dy: &Matrix,
+    timer: &mut Option<(&mut ForwardTimer, usize)>,
+) -> Activated {
+    let gin = arch == Arch::Gin;
+    match &kept.h {
+        Some(Activated::Sparse(pattern)) => timed_lap(timer, KernelKind::SSpMM, || {
+            let mut dhs = sspmm_backward(&ctx.adj_t, dy, pattern);
+            if gin {
+                dhs.gather_axpy(1.0 + eps, dy);
+            }
+            Activated::Sparse(dhs)
+        }),
+        _ => timed_lap(timer, KernelKind::SpMM, || {
+            let mut dh = spmm_rowwise(&ctx.adj_t, dy);
+            if gin {
+                ops::axpy(dh.data_mut(), 1.0 + eps, dy.data());
+            }
+            Activated::Dense(dh)
+        }),
+    }
+}
+
+/// A layer's combination-phase backward: `dZ` from `dh` through the
+/// activation (the CBSR scatter of a MaxK layer, the mask of the kept ReLU
+/// output, or the identity on the output layer), then `dW`/`db` of the
+/// neighbor linear from the kept input and `dZ`, and of the SAGE self
+/// linear from the kept input and `dy`. The layer input's gradient —
+/// `dZ · Wᵀ` plus SAGE's `dY · W_selfᵀ`, through the dropout mask — is
+/// formed only when `input_grad` is set, and returned then. Each kept
+/// operand is released as soon as nothing further reads it.
+///
+/// # Panics
+///
+/// Panics when shapes disagree.
+pub(crate) fn combine_backward(
+    lin_neigh: &mut Linear,
+    lin_self: Option<&mut Linear>,
+    kept: Retained,
+    dh: Activated,
+    dy: &Matrix,
+    input_grad: bool,
+    timer: &mut Option<(&mut ForwardTimer, usize)>,
+) -> Option<Matrix> {
+    let Retained { input, dropout, h } = kept;
+    let dz = match (h, dh) {
+        (_, Activated::Sparse(dhs)) => timed_lap(timer, KernelKind::MaxK, || maxk_backward(&dhs)),
+        (Some(Activated::Dense(relu_z)), Activated::Dense(dh)) => {
+            timed_lap(timer, KernelKind::DenseLinear, || {
+                ops::relu_backward(&relu_z, &dh)
+            })
+        }
+        (_, Activated::Dense(dz)) => dz,
+    };
+    let dx = timed_lap(timer, KernelKind::DenseLinear, move || {
+        lin_neigh.accumulate_grads(&input, &dz);
+        let lin_self = lin_self.map(|l| {
+            l.accumulate_grads(&input, dy);
+            &*l
+        });
+        drop(input);
+        input_grad.then(|| {
+            let mut dx = ops::matmul_a_bt(&dz, lin_neigh.weight());
+            if let Some(l) = lin_self {
+                ops::add_assign(&mut dx, &ops::matmul_a_bt(dy, l.weight()));
+            }
+            dx
+        })
+    })?;
+    Some(match dropout {
+        Some((mask, p)) => timed_lap(timer, KernelKind::Dropout, || {
+            ops::dropout_backward(&dx, &mask, p)
+        }),
+        None => dx,
+    })
 }
 
 #[cfg(test)]

@@ -188,8 +188,7 @@ impl ModelSnapshot {
     pub fn plan_layer(&self, l: usize) -> PlanLayer<'_> {
         let layer = &self.layers[l];
         PlanLayer {
-            // The output layer emits raw logits.
-            activation: (l + 1 < self.config.num_layers).then_some(self.config.activation),
+            activation: self.config.layer_shape(l).2,
             eps: layer.eps,
             neigh_weight: &layer.neigh_weight,
             neigh_bias: &layer.neigh_bias,
@@ -211,28 +210,28 @@ impl ModelSnapshot {
     pub fn restore(&self, graph: &Csr) -> Result<GnnModel, SnapshotError> {
         self.check_consistency()?;
         let cfg = self.config.clone();
-        let mut convs = Vec::with_capacity(self.layers.len());
-        for (i, layer) in self.layers.iter().enumerate() {
-            let activation = if i + 1 == cfg.num_layers {
-                None
-            } else {
-                Some(cfg.activation)
-            };
-            let lin_neigh =
-                Linear::from_parts(layer.neigh_weight.clone(), layer.neigh_bias.clone());
-            let lin_self = layer
-                .self_path
-                .as_ref()
-                .map(|(w, b)| Linear::from_parts(w.clone(), b.clone()));
-            convs.push(Conv::from_parts(
-                cfg.arch,
-                activation,
-                cfg.dropout,
-                layer.eps,
-                lin_neigh,
-                lin_self,
-            ));
-        }
+        let convs = self
+            .layers
+            .iter()
+            .enumerate()
+            .map(|(i, layer)| {
+                let lin_neigh =
+                    Linear::from_parts(layer.neigh_weight.clone(), layer.neigh_bias.clone());
+                let lin_self = layer
+                    .self_path
+                    .as_ref()
+                    .map(|(w, b)| Linear::from_parts(w.clone(), b.clone()));
+                let activation = cfg.layer_shape(i).2;
+                Conv::from_parts(
+                    cfg.arch,
+                    activation,
+                    cfg.dropout,
+                    layer.eps,
+                    lin_neigh,
+                    lin_self,
+                )
+            })
+            .collect();
         Ok(GnnModel::from_parts(cfg, graph, convs))
     }
 
@@ -270,12 +269,7 @@ impl ModelSnapshot {
             )));
         }
         for (i, layer) in self.layers.iter().enumerate() {
-            let in_dim = if i == 0 { cfg.in_dim } else { cfg.hidden_dim };
-            let out_dim = if i + 1 == cfg.num_layers {
-                cfg.out_dim
-            } else {
-                cfg.hidden_dim
-            };
+            let (in_dim, out_dim, _) = cfg.layer_shape(i);
             if layer.neigh_weight.shape() != (in_dim, out_dim) {
                 return Err(SnapshotError::Malformed(format!(
                     "layer {i} weight shape {:?}, expected ({in_dim}, {out_dim})",
@@ -302,6 +296,24 @@ impl ModelSnapshot {
                         b.len()
                     )));
                 }
+            }
+            // A NaN or ±∞ weight would serve non-finite logits, and a
+            // `0 · ∞` term is skipped by the zero-skipping matmuls.
+            let self_path = layer.self_path.as_ref();
+            let tensors = [
+                ("eps", std::slice::from_ref(&layer.eps)),
+                ("neigh_weight", layer.neigh_weight.data()),
+                ("neigh_bias", &layer.neigh_bias[..]),
+                ("self_weight", self_path.map_or(&[][..], |(w, _)| w.data())),
+                ("self_bias", self_path.map_or(&[][..], |(_, b)| &b[..])),
+            ];
+            if let Some((name, _)) = tensors
+                .iter()
+                .find(|(_, v)| !v.iter().all(|x| x.is_finite()))
+            {
+                return Err(SnapshotError::Malformed(format!(
+                    "layer {i} {name} holds a non-finite value"
+                )));
             }
         }
         Ok(())
@@ -734,6 +746,30 @@ mod tests {
             bad_k.restore(&graph()),
             Err(SnapshotError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn non_finite_weights_are_rejected_on_load() {
+        let snap = ModelSnapshot::capture(&model(Arch::Sage, Activation::MaxK(4)));
+        for (bad, layer, tensor) in [
+            (f32::NAN, 1, "neigh_weight"),
+            (f32::INFINITY, 2, "self_bias"),
+        ] {
+            let mut broken = snap.clone();
+            match tensor {
+                "neigh_weight" => broken.layers[layer].neigh_weight.data_mut()[5] = bad,
+                _ => broken.layers[layer].self_path.as_mut().unwrap().1[0] = bad,
+            }
+            match ModelSnapshot::from_bytes(&broken.to_bytes()) {
+                Err(SnapshotError::Malformed(msg)) => {
+                    assert_eq!(
+                        msg,
+                        format!("layer {layer} {tensor} holds a non-finite value")
+                    );
+                }
+                other => panic!("{tensor} = {bad} loaded as {other:?}"),
+            }
+        }
     }
 
     #[test]

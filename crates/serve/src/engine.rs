@@ -874,6 +874,22 @@ mod tests {
     }
 
     #[test]
+    fn hand_built_snapshot_with_non_finite_weights_rejected() {
+        let (graph, x, model) = setup(Arch::Gin, Activation::Relu);
+        let mut snap = ModelSnapshot::capture(&model);
+        snap.layers[0].neigh_bias[1] = f32::NEG_INFINITY;
+        match InferenceEngine::from_snapshot(&snap, &graph, x) {
+            Err(ServeError::BadModel(msg)) => {
+                assert!(
+                    msg.ends_with("layer 0 neigh_bias holds a non-finite value"),
+                    "{msg}"
+                );
+            }
+            other => panic!("non-finite bias accepted: {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
     fn shape_mismatches_rejected() {
         let (graph, x, model) = setup(Arch::Gcn, Activation::Relu);
         let snap = ModelSnapshot::capture(&model);

@@ -190,11 +190,6 @@ pub fn add_assign(a: &mut Matrix, b: &Matrix) {
     }
 }
 
-/// In-place `a *= s`.
-pub fn scale_assign(a: &mut Matrix, s: f32) {
-    a.data_mut().iter_mut().for_each(|v| *v *= s);
-}
-
 /// Inverted-dropout forward: zeroes each element with probability `p` and
 /// scales survivors by `1/(1-p)`. Returns the kept-mask for backward.
 ///
@@ -401,15 +396,6 @@ mod tests {
         let dy = Matrix::filled(1, 4, 1.0);
         let dx = relu_backward(&x, &dy);
         assert_eq!(dx.row(0), &[0.0, 0.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    fn add_and_scale() {
-        let mut a = Matrix::filled(2, 2, 1.0);
-        let b = Matrix::filled(2, 2, 2.0);
-        add_assign(&mut a, &b);
-        scale_assign(&mut a, 0.5);
-        assert!(a.data().iter().all(|&v| (v - 1.5).abs() < 1e-7));
     }
 
     #[test]

@@ -12,7 +12,10 @@
 #     sort is the tests' oracle);
 #   * every dense contraction's per-element work is `ops::axpy`: the
 #     non-test body of `matmul_a_bt` in crates/tensor/src/ops.rs holds no
-#     loop of its own (it is `matmul` against `Bᵀ`).
+#     loop of its own (it is `matmul` against `Bᵀ`);
+#   * a layer's dataflow is written once, in crates/nn/src/plan.rs: the
+#     non-test lines of crates/nn/src/conv.rs name no `maxk_core` kernel
+#     and match on no activation (`Some(Activation::`).
 #
 # "Non-test" is what scripts/nontest_lines.sh counts: the lines before a
 # file's first `#[cfg(test)]`. Run from CI's `test` job.
@@ -60,5 +63,8 @@ forbid "a loop in matmul_a_bt's body in crates/tensor/src/ops.rs (run it on matm
     "$(nontest crates/tensor/src/ops.rs |
         awk '/:pub fn matmul_a_bt\(/ { body = 1 } body { print } body && /:[0-9]+:}$/ { exit }' |
         grep -w -e 'for' -e 'while' -e 'loop' -e 'for_each' || true)"
+
+forbid "crates/nn/src/conv.rs calls a kernel or matches an activation (run plan's layer halves)" \
+    "$(nontest crates/nn/src/conv.rs | grep -e 'maxk_core' -e 'Some(Activation::' || true)"
 
 exit "$status"
