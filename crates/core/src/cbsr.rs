@@ -357,11 +357,14 @@ impl Cbsr {
     pub fn gather_axpy(&mut self, e: f32, src: &Matrix) {
         assert_eq!(src.rows(), self.num_rows, "row count mismatch");
         assert_eq!(src.cols(), self.dim_origin, "dim mismatch");
+        let k = self.k;
         with_index!(&self.sp_index, |index| {
-            let rows = self.sp_data.chunks_mut(self.k).zip(index.chunks(self.k));
-            for (r, (out, cols)) in rows.enumerate() {
-                gather_axpy(out, e, src.row(r), cols);
-            }
+            parallel::par_rows_mut(&mut self.sp_data, k, 256, |first_row, chunk| {
+                let cols = index[first_row * k..].chunks(k);
+                for (local, (out, cols)) in chunk.chunks_mut(k).zip(cols).enumerate() {
+                    gather_axpy(out, e, src.row(first_row + local), cols);
+                }
+            });
         });
     }
 

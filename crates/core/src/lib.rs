@@ -266,4 +266,83 @@ mod accumulation_order {
             );
         }
     }
+
+    /// A matrix's bits, row-major.
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A CBSR's value bits followed by its column indices.
+    fn cbsr_bits(c: &Cbsr) -> Vec<u32> {
+        let mut out: Vec<u32> = c.sp_data().iter().map(|v| v.to_bits()).collect();
+        for r in 0..c.num_rows() {
+            out.extend((0..c.k()).map(|t| c.index_at(r, t) as u32));
+        }
+        out
+    }
+
+    /// The scheduler's worker count decides which thread runs a row, never
+    /// what the row holds: every per-row kernel and elementwise pass, and
+    /// both losses' gradients, give the 1-worker bits at 2, 3 and 8
+    /// workers. The row counts give fewer blocks than workers, as many,
+    /// and more, at each kernel's smallest block.
+    #[test]
+    fn kernels_are_bitwise_at_any_worker_count() {
+        use maxk_tensor::{loss, ops, parallel};
+        use rand::Rng;
+
+        for n in [40, 400, 2000] {
+            let csr = generate::chung_lu_power_law(n, 6.0, 2.1, 3)
+                .to_csr()
+                .unwrap();
+            let adj = normalize::normalized(&csr, Aggregator::SageMean);
+            let adj_t = adj.transpose();
+            let part = WarpPartition::build(&adj, 4);
+            let dim = 257;
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            let x = Matrix::xavier(n, dim, &mut rng);
+            let w = Matrix::xavier(dim, 64, &mut rng);
+            let dy = Matrix::xavier(n, dim, &mut rng);
+            let keep: Vec<bool> = (0..n * dim).map(|_| rng.gen()).collect();
+            let classes = 10;
+            let logits = Matrix::xavier(n, classes, &mut rng);
+            let labels: Vec<u32> = (0..n).map(|_| rng.gen_range(0..classes as u32)).collect();
+            let targets: Vec<u8> = (0..n * classes)
+                .map(|_| u8::from(rng.gen::<bool>()))
+                .collect();
+            let train: Vec<bool> = (0..n).map(|i| i % 4 != 0).collect();
+
+            let run = || {
+                let xs = maxk_forward(&x, 12).unwrap();
+                let mut scattered = dy.clone();
+                xs.scatter_axpy(0.5, &mut scattered);
+                let mut gathered = xs.clone();
+                gathered.gather_axpy(0.5, &dy);
+                let mut sum = x.clone();
+                ops::add_assign(&mut sum, &dy);
+                vec![
+                    bits(&ops::matmul(&x, &w)),
+                    bits(&spmm_rowwise(&adj, &x)),
+                    bits(&spgemm_forward(&adj, &xs, &part)),
+                    cbsr_bits(&sspmm_backward(&adj_t, &dy, &xs)),
+                    cbsr_bits(&xs),
+                    bits(&scattered),
+                    cbsr_bits(&gathered),
+                    bits(&ops::relu(&x)),
+                    bits(&ops::relu_backward(&x, &dy)),
+                    bits(&sum),
+                    bits(&ops::dropout_backward(&dy, &keep, 0.5)),
+                    bits(&loss::softmax_cross_entropy(&logits, &labels, &train).1),
+                    bits(&loss::sigmoid_bce(&logits, &targets, &train).1),
+                ]
+            };
+            let want = parallel::with_workers(1, run);
+            for workers in [2, 3, 8] {
+                let got = parallel::with_workers(workers, run);
+                for (kernel, (got, want)) in got.iter().zip(&want).enumerate() {
+                    assert!(got == want, "kernel {kernel}: {n} rows, {workers} workers");
+                }
+            }
+        }
+    }
 }

@@ -128,8 +128,8 @@ pub fn gather_with_pattern(x: &Matrix, pattern: &Cbsr) -> Cbsr {
     out
 }
 
-/// Fills matching row chunks of the two output arrays in parallel;
-/// returns each chunk's `(bisection passes, rows past PIVOT_MAX_ITERS)`.
+/// Fills matching row blocks of the two output arrays in parallel;
+/// returns each block's `(bisection passes, rows past PIVOT_MAX_ITERS)`.
 fn fill_rows<I: Copy + Send + TryFrom<usize, Error: Debug>>(
     x: &Matrix,
     k: usize,
@@ -147,11 +147,21 @@ fn fill_rows<I: Copy + Send + TryFrom<usize, Error: Debug>>(
             )
         },
         |first, _, (data, index)| {
-            let mut keys = vec![0u32; x.cols()];
+            // Up to 256 columns (every hidden width here) the keys live on
+            // the stack, so a block allocates nothing.
+            let mut on_stack = [0u32; 256];
+            let mut on_heap = Vec::new();
+            let keys = match on_stack.get_mut(..x.cols()) {
+                Some(keys) => keys,
+                None => {
+                    on_heap.resize(x.cols(), 0);
+                    &mut on_heap[..]
+                }
+            };
             let (mut iters, mut fallbacks) = (0u64, 0u64);
             let rows = data.chunks_mut(k).zip(index.chunks_mut(k));
             for (local, (vals, cols)) in rows.enumerate() {
-                let n = select_row(x.row(first + local), &mut keys, vals, cols);
+                let n = select_row(x.row(first + local), keys, vals, cols);
                 iters += n as u64;
                 fallbacks += u64::from(n > PIVOT_MAX_ITERS);
             }

@@ -5,11 +5,65 @@
 //! sigmoid binary cross-entropy, matching the original tasks' losses.
 
 use crate::matrix::Matrix;
+use crate::parallel;
+
+/// Fewest rows one block of a loss gets.
+const MIN_ROWS: usize = 32;
+
+/// Runs `row_fn(i, grad_row, terms_row)` on every masked row `i` in
+/// parallel row blocks, with `grad_row` the row of an `n × c` gradient and
+/// `terms_row` the row of an `n × width` buffer for the row's loss terms.
+/// Unmasked rows stay zero in both. Each row is one worker's, so the
+/// output is the same at any block count.
+fn masked_rows(
+    (n, c): (usize, usize),
+    width: usize,
+    mask: &[bool],
+    row_fn: impl Fn(usize, &mut [f32], &mut [f32]) + Sync,
+) -> (Matrix, Vec<f32>) {
+    let mut grad = Matrix::zeros(n, c);
+    let mut terms = vec![0f32; n * width];
+    parallel::run_chunks(
+        n,
+        MIN_ROWS,
+        (grad.data_mut(), terms.as_mut_slice()),
+        |(grad, terms), rows| {
+            (
+                parallel::split_front(grad, rows * c),
+                parallel::split_front(terms, rows * width),
+            )
+        },
+        |first, end, (grad, terms)| {
+            for (local, _) in mask[first..end].iter().enumerate().filter(|(_, &m)| m) {
+                let grow = &mut grad[local * c..(local + 1) * c];
+                row_fn(
+                    first + local,
+                    grow,
+                    &mut terms[local * width..(local + 1) * width],
+                );
+            }
+        },
+    );
+    (grad, terms)
+}
+
+/// The masked rows' loss terms summed in `f64`, one at a time in
+/// row-major order — the order the loss was always summed in.
+fn masked_sum(terms: &[f32], width: usize, mask: &[bool]) -> f64 {
+    let mut total = 0.0f64;
+    for (row, _) in terms.chunks(width.max(1)).zip(mask).filter(|(_, &m)| m) {
+        for &t in row {
+            total += f64::from(t);
+        }
+    }
+    total
+}
 
 /// Masked softmax cross-entropy.
 ///
 /// Only rows with `mask[i] == true` contribute; the loss is averaged over
-/// masked rows and the returned gradient is zero elsewhere.
+/// masked rows and the returned gradient is zero elsewhere. Rows are
+/// formed in parallel; the loss is summed serially in row order.
 ///
 /// Returns `(mean_loss, dlogits)`.
 ///
@@ -21,17 +75,12 @@ pub fn softmax_cross_entropy(logits: &Matrix, labels: &[u32], mask: &[bool]) -> 
     let (n, c) = logits.shape();
     assert_eq!(labels.len(), n, "label count mismatch");
     assert_eq!(mask.len(), n, "mask length mismatch");
-    let mut grad = Matrix::zeros(n, c);
     let m = mask.iter().filter(|&&b| b).count();
     if m == 0 {
-        return (0.0, grad);
+        return (0.0, Matrix::zeros(n, c));
     }
     let inv_m = 1.0 / m as f32;
-    let mut total = 0.0f64;
-    for i in 0..n {
-        if !mask[i] {
-            continue;
-        }
+    let (grad, terms) = masked_rows((n, c), 1, mask, |i, grow, term| {
         let row = logits.row(i);
         let label = labels[i] as usize;
         assert!(label < c, "label {label} out of range for {c} classes");
@@ -40,22 +89,21 @@ pub fn softmax_cross_entropy(logits: &Matrix, labels: &[u32], mask: &[bool]) -> 
         for &v in row {
             denom += (v - max).exp();
         }
-        let log_denom = denom.ln();
-        total += f64::from(log_denom - (row[label] - max));
-        let grow = grad.row_mut(i);
+        term[0] = denom.ln() - (row[label] - max);
         for (j, g) in grow.iter_mut().enumerate() {
             let p = (row[j] - max).exp() / denom;
             *g = (p - f32::from(j == label)) * inv_m;
         }
-    }
-    (total / m as f64, grad)
+    });
+    (masked_sum(&terms, 1, mask) / m as f64, grad)
 }
 
 /// Masked sigmoid binary cross-entropy over multi-hot targets.
 ///
 /// `targets` is a row-major `n × c` multi-hot matrix of `{0, 1}` bytes.
 /// Loss is averaged over `masked rows × classes`; gradient is zero on
-/// unmasked rows.
+/// unmasked rows. Rows are formed in parallel; the loss is summed
+/// serially in row-major order.
 ///
 /// Returns `(mean_loss, dlogits)`.
 ///
@@ -66,35 +114,121 @@ pub fn sigmoid_bce(logits: &Matrix, targets: &[u8], mask: &[bool]) -> (f64, Matr
     let (n, c) = logits.shape();
     assert_eq!(targets.len(), n * c, "target matrix shape mismatch");
     assert_eq!(mask.len(), n, "mask length mismatch");
-    let mut grad = Matrix::zeros(n, c);
     let m = mask.iter().filter(|&&b| b).count();
     if m == 0 {
-        return (0.0, grad);
+        return (0.0, Matrix::zeros(n, c));
     }
     let scale = 1.0 / (m * c) as f32;
-    let mut total = 0.0f64;
-    for i in 0..n {
-        if !mask[i] {
-            continue;
-        }
+    let (grad, terms) = masked_rows((n, c), c, mask, |i, grow, terms| {
         let row = logits.row(i);
-        let grow = grad.row_mut(i);
         for j in 0..c {
             let x = row[j];
             let t = f32::from(targets[i * c + j]);
             // Numerically-stable log(1 + e^-|x|) formulation.
-            let loss = x.max(0.0) - x * t + (1.0 + (-x.abs()).exp()).ln();
-            total += f64::from(loss);
+            terms[j] = x.max(0.0) - x * t + (1.0 + (-x.abs()).exp()).ln();
             let p = 1.0 / (1.0 + (-x).exp());
             grow[j] = (p - t) * scale;
         }
-    }
-    (total / (m * c) as f64, grad)
+    });
+    (masked_sum(&terms, c, mask) / (m * c) as f64, grad)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use crate::parallel;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The oracle for `softmax_cross_entropy`: the serial loop it replaced.
+    fn softmax_cross_entropy_serial(
+        logits: &Matrix,
+        labels: &[u32],
+        mask: &[bool],
+    ) -> (f64, Matrix) {
+        let (n, c) = logits.shape();
+        let mut grad = Matrix::zeros(n, c);
+        let m = mask.iter().filter(|&&b| b).count();
+        let inv_m = 1.0 / m as f32;
+        let mut total = 0.0f64;
+        for i in 0..n {
+            if !mask[i] {
+                continue;
+            }
+            let row = logits.row(i);
+            let label = labels[i] as usize;
+            let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            let mut denom = 0.0f32;
+            for &v in row {
+                denom += (v - max).exp();
+            }
+            let log_denom = denom.ln();
+            total += f64::from(log_denom - (row[label] - max));
+            let grow = grad.row_mut(i);
+            for (j, g) in grow.iter_mut().enumerate() {
+                let p = (row[j] - max).exp() / denom;
+                *g = (p - f32::from(j == label)) * inv_m;
+            }
+        }
+        (total / m as f64, grad)
+    }
+
+    /// The oracle for `sigmoid_bce`: the serial loop it replaced.
+    fn sigmoid_bce_serial(logits: &Matrix, targets: &[u8], mask: &[bool]) -> (f64, Matrix) {
+        let (n, c) = logits.shape();
+        let mut grad = Matrix::zeros(n, c);
+        let m = mask.iter().filter(|&&b| b).count();
+        let scale = 1.0 / (m * c) as f32;
+        let mut total = 0.0f64;
+        for i in 0..n {
+            if !mask[i] {
+                continue;
+            }
+            let row = logits.row(i);
+            let grow = grad.row_mut(i);
+            for j in 0..c {
+                let x = row[j];
+                let t = f32::from(targets[i * c + j]);
+                let loss = x.max(0.0) - x * t + (1.0 + (-x.abs()).exp()).ln();
+                total += f64::from(loss);
+                let p = 1.0 / (1.0 + (-x).exp());
+                grow[j] = (p - t) * scale;
+            }
+        }
+        (total / (m * c) as f64, grad)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn parallel_losses_are_bitwise_the_serial_loops() {
+        let (n, c) = (700, 24);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut logits = Matrix::xavier(n, c, &mut rng);
+        logits.data_mut().iter_mut().for_each(|v| *v *= 40.0);
+        let labels: Vec<u32> = (0..n).map(|_| rng.gen_range(0..c as u32)).collect();
+        let targets: Vec<u8> = (0..n * c).map(|_| u8::from(rng.gen::<bool>())).collect();
+        let every = vec![true; n];
+        let some: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
+        for mask in [&every, &some] {
+            let want_ce = softmax_cross_entropy_serial(&logits, &labels, mask);
+            let want_bce = sigmoid_bce_serial(&logits, &targets, mask);
+            for workers in [1, 2, 3, 8] {
+                let (ce, ce_grad) = parallel::with_workers(workers, || {
+                    softmax_cross_entropy(&logits, &labels, mask)
+                });
+                assert_eq!(ce.to_bits(), want_ce.0.to_bits(), "{workers} workers");
+                assert_eq!(bits(&ce_grad), bits(&want_ce.1), "{workers} workers");
+                let (bce, bce_grad) =
+                    parallel::with_workers(workers, || sigmoid_bce(&logits, &targets, mask));
+                assert_eq!(bce.to_bits(), want_bce.0.to_bits(), "{workers} workers");
+                assert_eq!(bits(&bce_grad), bits(&want_bce.1), "{workers} workers");
+            }
+        }
+    }
 
     #[test]
     fn ce_perfect_prediction_has_small_loss() {

@@ -149,13 +149,32 @@ pub fn column_sums(x: &Matrix) -> Vec<f32> {
     out
 }
 
+/// Fewest elements one block of an elementwise pass gets: below this, a
+/// helper thread's start costs more than the block's work.
+const ELEMENTWISE_MIN_BLOCK: usize = 1 << 16;
+
+/// Runs `f(at, block)` over `out`'s row blocks in parallel, where `block`
+/// is `out.data()[at..at + block.len()]`. Every element is computed on
+/// its own, so the result is the same at any block count.
+fn par_elements(out: &mut Matrix, f: impl Fn(usize, &mut [f32]) + Sync) {
+    let cols = out.cols();
+    if out.data().is_empty() {
+        return;
+    }
+    let min_rows = ELEMENTWISE_MIN_BLOCK.div_ceil(cols);
+    parallel::par_rows_mut(out.data_mut(), cols, min_rows, |first_row, block| {
+        f(first_row * cols, block);
+    });
+}
+
 /// Element-wise `y = max(x, 0)` (a fresh matrix).
 #[must_use]
 pub fn relu(x: &Matrix) -> Matrix {
-    let mut y = x.clone();
-    y.data_mut().iter_mut().for_each(|v| {
-        if *v < 0.0 {
-            *v = 0.0;
+    let src = x.data();
+    let mut y = Matrix::zeros(x.rows(), x.cols());
+    par_elements(&mut y, |at, out| {
+        for (o, &v) in out.iter_mut().zip(&src[at..]) {
+            *o = if v < 0.0 { 0.0 } else { v };
         }
     });
     y
@@ -169,12 +188,13 @@ pub fn relu(x: &Matrix) -> Matrix {
 #[must_use]
 pub fn relu_backward(x: &Matrix, dy: &Matrix) -> Matrix {
     assert_eq!(x.shape(), dy.shape(), "relu_backward shape mismatch");
-    let mut dx = dy.clone();
-    for (d, &xv) in dx.data_mut().iter_mut().zip(x.data()) {
-        if xv <= 0.0 {
-            *d = 0.0;
+    let (x, d) = (x.data(), dy.data());
+    let mut dx = Matrix::zeros(dy.rows(), dy.cols());
+    par_elements(&mut dx, |at, out| {
+        for ((o, &dv), &xv) in out.iter_mut().zip(&d[at..]).zip(&x[at..]) {
+            *o = if xv <= 0.0 { 0.0 } else { dv };
         }
-    }
+    });
     dx
 }
 
@@ -185,13 +205,21 @@ pub fn relu_backward(x: &Matrix, dy: &Matrix) -> Matrix {
 /// Panics if shapes differ.
 pub fn add_assign(a: &mut Matrix, b: &Matrix) {
     assert_eq!(a.shape(), b.shape(), "add_assign shape mismatch");
-    for (av, &bv) in a.data_mut().iter_mut().zip(b.data()) {
-        *av += bv;
-    }
+    let src = b.data();
+    par_elements(a, |at, out| {
+        for (o, &v) in out.iter_mut().zip(&src[at..]) {
+            *o += v;
+        }
+    });
 }
 
 /// Inverted-dropout forward: zeroes each element with probability `p` and
 /// scales survivors by `1/(1-p)`. Returns the kept-mask for backward.
+///
+/// The mask is drawn first, serially: one `rng.gen::<f32>() >= p` per
+/// element in row-major order. Then it is applied in parallel as
+/// `(v · scale)` under an all-ones or all-zeros bit mask, so a dropped
+/// element — NaN and ±∞ included — is `+0.0`.
 ///
 /// # Panics
 ///
@@ -205,16 +233,15 @@ pub fn dropout_forward<R: rand::Rng>(x: &Matrix, p: f32, rng: &mut R) -> (Matrix
         return (x.clone(), vec![true; x.data().len()]);
     }
     let keep_scale = 1.0 / (1.0 - p);
-    let mut y = x.clone();
-    let mut mask = vec![true; x.data().len()];
-    for (v, m) in y.data_mut().iter_mut().zip(mask.iter_mut()) {
-        if rng.gen::<f32>() < p {
-            *v = 0.0;
-            *m = false;
-        } else {
-            *v *= keep_scale;
+    let mask: Vec<bool> = (0..x.data().len()).map(|_| rng.gen::<f32>() >= p).collect();
+    let src = x.data();
+    let mut y = Matrix::zeros(x.rows(), x.cols());
+    par_elements(&mut y, |at, out| {
+        for ((o, &v), &keep) in out.iter_mut().zip(&src[at..]).zip(&mask[at..]) {
+            let keep_bits = u32::from(keep).wrapping_neg();
+            *o = f32::from_bits((v * keep_scale).to_bits() & keep_bits);
         }
-    }
+    });
     (y, mask)
 }
 
@@ -231,14 +258,13 @@ pub fn dropout_backward(dy: &Matrix, mask: &[bool], p: f32) -> Matrix {
     );
     assert_eq!(dy.data().len(), mask.len(), "dropout mask length mismatch");
     let keep_scale = 1.0 / (1.0 - p);
-    let mut dx = dy.clone();
-    for (d, &keep) in dx.data_mut().iter_mut().zip(mask) {
-        if keep {
-            *d *= keep_scale;
-        } else {
-            *d = 0.0;
+    let d = dy.data();
+    let mut dx = Matrix::zeros(dy.rows(), dy.cols());
+    par_elements(&mut dx, |at, out| {
+        for ((o, &dv), &keep) in out.iter_mut().zip(&d[at..]).zip(&mask[at..]) {
+            *o = if keep { dv * keep_scale } else { 0.0 };
         }
-    }
+    });
     dx
 }
 
@@ -263,7 +289,7 @@ pub fn matmul_reference(a: &Matrix, b: &Matrix) -> Matrix {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -428,6 +454,67 @@ mod tests {
         // Gradient sparsity pattern must match the forward output.
         for (yv, dv) in y.data().iter().zip(dx.data()) {
             assert_eq!(*yv == 0.0, *dv == 0.0);
+        }
+    }
+
+    /// The oracle for `dropout_forward`: the fused loop it replaced, one
+    /// draw per element that both decides and applies the mask.
+    fn dropout_forward_fused<R: rand::Rng>(x: &Matrix, p: f32, rng: &mut R) -> (Matrix, Vec<bool>) {
+        let keep_scale = 1.0 / (1.0 - p);
+        let mut y = x.clone();
+        let mut mask = vec![true; x.data().len()];
+        for (v, m) in y.data_mut().iter_mut().zip(mask.iter_mut()) {
+            if rng.gen::<f32>() < p {
+                *v = 0.0;
+                *m = false;
+            } else {
+                *v *= keep_scale;
+            }
+        }
+        (y, mask)
+    }
+
+    #[test]
+    fn two_pass_dropout_is_bitwise_the_fused_loop() {
+        // Large enough for several blocks; every row holds the specials.
+        let mut x = random(600, 300, 17);
+        let specials = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MIN_POSITIVE / 4.0,
+            -f32::from_bits(1),
+            f32::MAX,
+        ];
+        for r in 0..x.rows() {
+            for (c, &v) in specials.iter().enumerate() {
+                x.set(r, (r + 31 * c) % x.cols(), v);
+            }
+        }
+        for p in [0.1, 0.5, 0.9] {
+            for workers in [1, 2, 3, 8] {
+                let mut rng = StdRng::seed_from_u64(23);
+                let mut oracle_rng = StdRng::seed_from_u64(23);
+                let (y, mask) =
+                    parallel::with_workers(workers, || dropout_forward(&x, p, &mut rng));
+                let (want, want_mask) = dropout_forward_fused(&x, p, &mut oracle_rng);
+                assert_eq!(bits(&y), bits(&want), "p {p}, {workers} workers");
+                assert_eq!(mask, want_mask, "p {p}, {workers} workers");
+                // Both consumed the stream alike.
+                assert_eq!(rng.gen::<u64>(), oracle_rng.gen::<u64>());
+                let dropped_nan = x.data().iter().zip(&mask).zip(y.data());
+                let mut seen = 0;
+                for ((v, &keep), out) in dropped_nan {
+                    if v.is_nan() && !keep {
+                        assert_eq!(out.to_bits(), 0, "a dropped NaN is +0.0");
+                        seen += 1;
+                    }
+                }
+                assert!(seen > 0, "p {p}: no NaN was dropped");
+            }
         }
     }
 

@@ -1,11 +1,37 @@
 //! Scoped-thread data parallelism helpers.
 //!
 //! All heavy kernels in this reproduction parallelize over contiguous row
-//! ranges. [`run_chunks`] is the single primitive they share: the chunk
-//! planner and the kernel crates' one `std::thread::scope`; the `par_*`
-//! functions are it at the per-chunk state shapes the kernels use.
+//! blocks, and every one of them goes through [`run_chunks`]'s scheduler:
+//! the block planner, the claim queue and the kernel crates' one
+//! `std::thread::scope`. The `par_*` functions are it at the per-block
+//! state shapes the kernels use.
+//!
+//! * **Block plans.** A kernel whose every output row has one owner
+//!   ([`run_chunks`], [`par_rows_mut`]) is cut into about
+//!   4 × [`num_threads`] blocks of at least `min_chunk` rows, so a worker
+//!   that drew cheap rows takes another block instead of waiting for the
+//!   one that drew the power-law hubs. Each row is still computed by one
+//!   worker in its own serial order, so the output is bitwise the same at
+//!   any block or worker count. A reduction ([`par_row_map`]) gets one
+//!   block per thread, `rows.div_ceil(num_threads()).max(min_chunk)`
+//!   rows each: its caller sums the per-block partials, so its block
+//!   bounds decide its floats, and these are the bounds it always had.
+//! * **Claiming.** The caller's state is split into one share per block,
+//!   up front, in order, on the calling thread. Then `min(workers,
+//!   blocks) − 1` helpers start, and they and the calling thread take
+//!   blocks off one queue until it is empty — each block exactly once.
+//!   The queue's lock is held only to take the next block.
+//! * **Ending.** Results come back in block order. Every helper is joined
+//!   before the call returns, and a panic in any block reaches the caller
+//!   with its own payload. A single block runs on the calling thread with
+//!   the whole state and no spawn.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+/// Blocks per worker for a kernel whose rows have one owner each.
+const BLOCKS_PER_WORKER: usize = 4;
 
 /// Number of worker threads used by this process (cached).
 pub fn num_threads() -> usize {
@@ -21,16 +47,87 @@ pub fn num_threads() -> usize {
     n
 }
 
-/// Runs `f(start, end, state)` over disjoint, contiguous row chunks
-/// covering `0..rows` — each at least `min_chunk` rows (except possibly
-/// the last), at most `num_threads()` of them — and returns the results
-/// in chunk order. `whole` is what all rows own (typically a mutable
-/// slice); `split(rest, len)` takes the next `len` rows' share off it,
-/// once per chunk, in order, on the calling thread. A single chunk gets
-/// `whole` itself and runs on the calling thread with no spawn; otherwise
-/// each chunk runs on a scoped thread, and the scope panics if a worker
-/// did.
+thread_local! {
+    /// The worker count [`with_workers`] set on this thread; 0 when unset.
+    static WORKERS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Runs `f` with every kernel call it makes on this thread planned for
+/// `workers` workers instead of [`num_threads`]. It exists so that tests
+/// in the kernel crates can check bits at several worker counts on any
+/// host; the kernels themselves never call it.
+///
+/// # Panics
+///
+/// Panics when `workers` is 0.
+#[doc(hidden)]
+pub fn with_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
+    assert!(workers > 0, "at least one worker");
+    /// Puts the previous count back, also when `f` panics.
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            WORKERS.set(self.0);
+        }
+    }
+    let _restore = Restore(WORKERS.replace(workers));
+    f()
+}
+
+/// The worker count a call on this thread plans for.
+fn workers() -> usize {
+    match WORKERS.get() {
+        0 => num_threads(),
+        set => set,
+    }
+}
+
+/// Runs `f(start, end, state)` over disjoint, contiguous row blocks
+/// covering `0..rows` and returns the results in block order. Each output
+/// row must be owned by the one block that holds it: there are about
+/// 4 × [`num_threads`] blocks (one on a single-core host), each at least
+/// `min_chunk` rows except possibly the last. `whole` is what all rows own
+/// (typically a mutable slice); `split(rest, len)` takes the next `len`
+/// rows' share off it, once per block, in order, on the calling thread. A
+/// single block gets `whole` itself and runs on the calling thread with no
+/// spawn. A panic in any block is resumed on the calling thread.
 pub fn run_chunks<S, T, F>(
+    rows: usize,
+    min_chunk: usize,
+    whole: S,
+    split: impl FnMut(&mut S, usize) -> S,
+    f: F,
+) -> Vec<T>
+where
+    S: Send,
+    T: Send,
+    F: Fn(usize, usize, S) -> T + Sync,
+{
+    let workers = workers();
+    let blocks = if workers == 1 {
+        1
+    } else {
+        BLOCKS_PER_WORKER * workers
+    };
+    claim_blocks(workers, blocks, rows, min_chunk, whole, split, f)
+}
+
+/// One planned block: its rows, its share of the state until a worker
+/// claims it, and its result once the worker is done.
+struct Block<S, T> {
+    start: usize,
+    end: usize,
+    state: Option<S>,
+    result: Option<T>,
+}
+
+/// The scheduler: cuts `0..rows` into at most `blocks` blocks of
+/// `rows.div_ceil(blocks).max(min_chunk)` rows and runs them on the
+/// calling thread and `min(workers, blocks) − 1` helpers, each taking the
+/// next unclaimed block until none is left.
+fn claim_blocks<S, T, F>(
+    workers: usize,
+    blocks: usize,
     rows: usize,
     min_chunk: usize,
     mut whole: S,
@@ -45,24 +142,54 @@ where
     if rows == 0 {
         return Vec::new();
     }
-    let chunk = rows.div_ceil(num_threads()).max(min_chunk.max(1));
+    let chunk = rows.div_ceil(blocks.max(1)).max(min_chunk.max(1));
     if chunk >= rows {
         return vec![f(0, rows, whole)];
     }
-    let mut results: Vec<Option<T>> = (0..rows.div_ceil(chunk)).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let mut start = 0;
-        for slot in &mut results {
+    let mut plan: Vec<Block<S, T>> = (0..rows)
+        .step_by(chunk)
+        .map(|start| {
             let end = (start + chunk).min(rows);
-            let state = split(&mut whole, end - start);
-            let f = &f;
-            s.spawn(move || *slot = Some(f(start, end, state)));
-            start = end;
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("the scope joined every chunk"))
+            let state = Some(split(&mut whole, end - start));
+            Block {
+                start,
+                end,
+                state,
+                result: None,
+            }
+        })
+        .collect();
+    let helpers = workers.clamp(1, plan.len()) - 1;
+    let queue = Mutex::new(plan.iter_mut());
+    let work = || loop {
+        let next = queue.lock().expect("taking a block cannot panic").next();
+        let Some(block) = next else {
+            break;
+        };
+        let state = block.state.take().expect("a block is claimed once");
+        block.result = Some(f(block.start, block.end, state));
+    };
+    if helpers == 0 {
+        work();
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..helpers).map(|_| s.spawn(work)).collect();
+            // If the calling thread's block panics, the scope still waits
+            // for every helper before it resumes that panic.
+            work();
+            let mut panicked = None;
+            for handle in handles {
+                if let Err(payload) = handle.join() {
+                    panicked.get_or_insert(payload);
+                }
+            }
+            if let Some(payload) = panicked {
+                std::panic::resume_unwind(payload);
+            }
+        });
+    }
+    plan.into_iter()
+        .map(|block| block.result.expect("every block ran"))
         .collect()
 }
 
@@ -74,14 +201,26 @@ where
     par_row_map(rows, min_chunk, f);
 }
 
-/// Like [`par_row_chunks`] but each chunk produces a value; results are
-/// returned in chunk order (useful for partial-sum reductions).
+/// Like [`par_row_chunks`] but each block produces a value; results are
+/// returned in block order (for partial-sum reductions). The blocks are
+/// one per thread, `rows.div_ceil(num_threads()).max(min_chunk)` rows
+/// each, so a reduction's partials depend only on the shape and the
+/// thread count, never on which worker ran which block.
 pub fn par_row_map<T, F>(rows: usize, min_chunk: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, usize) -> T + Sync,
 {
-    run_chunks(rows, min_chunk, (), |_, _| (), |a, b, ()| f(a, b))
+    let workers = workers();
+    claim_blocks(
+        workers,
+        workers,
+        rows,
+        min_chunk,
+        (),
+        |_, _| (),
+        |a, b, ()| f(a, b),
+    )
 }
 
 /// Splits the next `len` elements off the front of `rest`.
@@ -91,7 +230,8 @@ pub fn split_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
     head
 }
 
-/// Splits a mutable slice into row-chunks and processes them in parallel.
+/// Splits a mutable slice into row blocks and processes them in parallel
+/// ([`run_chunks`]' one-owner-per-row plan).
 ///
 /// `row_width` is the stride of one logical row in the slice. The closure
 /// receives `(first_row, rows_chunk)` where `rows_chunk` is the mutable
@@ -205,6 +345,142 @@ mod tests {
     fn par_rows_mut_checks_stride() {
         let mut data = vec![0f32; 5];
         par_rows_mut(&mut data, 2, 1, |_, _| {});
+    }
+
+    /// `claim_blocks` with one `(start, end)` result per block and a count
+    /// of how often each row ran.
+    fn run_plan(workers: usize, blocks: usize, rows: usize) -> (Vec<(usize, usize)>, Vec<usize>) {
+        let runs: Vec<AtomicUsize> = (0..rows).map(|_| AtomicUsize::new(0)).collect();
+        let spans = claim_blocks(
+            workers,
+            blocks,
+            rows,
+            4,
+            (),
+            |_, _| (),
+            |a, b, ()| {
+                runs[a..b].iter().for_each(|r| {
+                    r.fetch_add(1, Ordering::SeqCst);
+                });
+                (a, b)
+            },
+        );
+        (
+            spans,
+            runs.into_iter().map(AtomicUsize::into_inner).collect(),
+        )
+    }
+
+    #[test]
+    fn every_block_runs_once_and_returns_in_order() {
+        // 8 blocks of 4 rows: fewer blocks than 8 workers' 32, as many as
+        // 8 workers, and more than 1, 2 or 3.
+        for rows in [6, 32, 33, 1000] {
+            for blocks in [1, 3, 8, 32] {
+                let (want, _) = run_plan(1, blocks, rows);
+                for workers in [1, 2, 3, 8] {
+                    let (spans, runs) = run_plan(workers, blocks, rows);
+                    assert_eq!(
+                        spans, want,
+                        "{rows} rows, {blocks} blocks, {workers} workers"
+                    );
+                    assert!(runs.iter().all(|&r| r == 1), "a row ran twice or never");
+                    let mut next = 0;
+                    for &(a, b) in &spans {
+                        assert_eq!(a, next);
+                        assert!(b - a >= 4 || b == rows);
+                        next = b;
+                    }
+                    assert_eq!(next, rows);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_worker_runs_every_block_on_the_caller() {
+        let caller = std::thread::current().id();
+        let ids = claim_blocks(
+            1,
+            8,
+            64,
+            1,
+            (),
+            |_, _| (),
+            |_, _, ()| std::thread::current().id(),
+        );
+        assert_eq!(ids, vec![caller; 8]);
+    }
+
+    #[test]
+    fn states_are_split_in_block_order() {
+        for workers in [1, 2, 3, 8] {
+            let mut data = vec![0usize; 37 * 3];
+            claim_blocks(
+                workers,
+                workers * 4,
+                37,
+                2,
+                data.as_mut_slice(),
+                |rest, len| split_front(rest, len * 3),
+                |start, end, chunk| {
+                    assert_eq!(chunk.len(), (end - start) * 3);
+                    chunk
+                        .iter_mut()
+                        .enumerate()
+                        .for_each(|(i, v)| *v = start * 3 + i);
+                },
+            );
+            assert!(
+                data.iter().enumerate().all(|(i, &v)| v == i),
+                "{workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn a_panic_in_one_block_reaches_the_caller() {
+        for workers in [1, 2, 3, 8] {
+            // Every block's state holds a clone of `alive`; once the call
+            // has returned, no worker may still hold one.
+            let alive = std::sync::Arc::new(());
+            let ran = AtomicUsize::new(0);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                claim_blocks(
+                    workers,
+                    16,
+                    64,
+                    1,
+                    alive.clone(),
+                    |whole, _| whole.clone(),
+                    |start, _, _alive| {
+                        ran.fetch_add(1, Ordering::SeqCst);
+                        if start == 20 {
+                            panic!("block at row {start} failed");
+                        }
+                    },
+                )
+            }));
+            let payload = caught.expect_err("the panic is resumed on the caller");
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("the block's own payload");
+            assert_eq!(message, "block at row 20 failed", "{workers} workers");
+            assert_eq!(std::sync::Arc::strong_count(&alive), 1, "{workers} workers");
+            // The failing block is the sixth; a worker stops claiming after
+            // its panic, the others need not.
+            assert!(ran.load(Ordering::SeqCst) >= 6);
+        }
+    }
+
+    #[test]
+    fn with_workers_is_scoped_to_its_closure() {
+        let outer = workers();
+        let inner = with_workers(3, || (workers(), with_workers(1, workers), workers()));
+        assert_eq!(inner, (3, 1, 3));
+        assert_eq!(workers(), outer);
+        let _ = std::panic::catch_unwind(|| with_workers(2, || panic!("inside")));
+        assert_eq!(workers(), outer);
     }
 
     #[test]

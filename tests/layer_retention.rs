@@ -54,20 +54,23 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// No kernel splits fewer than 8 rows across threads, so every kernel runs
-/// on the calling thread and no worker's own bookkeeping (freed whenever
-/// the thread exits) lands in the count, whatever the core count.
-const NODES: usize = 8;
+/// 8 rows run every kernel on the calling thread; 2,000 split the big ones
+/// across helper threads, which are joined — their own bookkeeping freed —
+/// before the kernel returns.
+const SIZES: [usize; 2] = [8, 2000];
 const IN_DIM: usize = 48;
 const OUT_DIM: usize = 64;
 const K: usize = 8;
 
 #[test]
 fn maxk_layer_keeps_its_input_mask_and_cbsr_until_backward() {
-    let graph = generate::chung_lu_power_law(NODES, 3.0, 2.3, 4)
-        .to_csr()
-        .unwrap();
-    for arch in [Arch::Gcn, Arch::Sage, Arch::Gin] {
+    for (nodes, arch) in SIZES
+        .into_iter()
+        .flat_map(|n| [Arch::Gcn, Arch::Sage, Arch::Gin].map(|a| (n, a)))
+    {
+        let graph = generate::chung_lu_power_law(nodes, 3.0, 2.3, 4)
+            .to_csr()
+            .unwrap();
         let ctx = GraphContext::build(&graph, arch, 32);
         let mut rng = StdRng::seed_from_u64(9);
         let mut conv = Conv::new(
@@ -78,8 +81,8 @@ fn maxk_layer_keeps_its_input_mask_and_cbsr_until_backward() {
             0.5,
             &mut rng,
         );
-        let x = Matrix::xavier(NODES, IN_DIM, &mut rng);
-        let dy = Matrix::xavier(NODES, OUT_DIM, &mut rng);
+        let x = Matrix::xavier(nodes, IN_DIM, &mut rng);
+        let dy = Matrix::xavier(nodes, OUT_DIM, &mut rng);
         // A first pass warms whatever the kernels initialise once.
         drop(conv.forward(&ctx, Cow::Borrowed(&x), true, &mut rng, &mut None));
         drop(conv.backward(&ctx, &dy, true, &mut None));
@@ -87,17 +90,17 @@ fn maxk_layer_keeps_its_input_mask_and_cbsr_until_backward() {
         let start = LIVE.load(Ordering::Relaxed);
         let y = conv.forward(&ctx, Cow::Borrowed(&x), true, &mut rng, &mut None);
         let kept = LIVE.load(Ordering::Relaxed) - start - std::mem::size_of_val(y.data());
-        let input = NODES * IN_DIM * std::mem::size_of::<f32>();
-        let mask = NODES * IN_DIM * std::mem::size_of::<bool>();
-        let cbsr = NODES * Cbsr::row_bytes_of(OUT_DIM, K);
-        assert_eq!(kept, input + mask + cbsr, "{arch:?}");
+        let input = nodes * IN_DIM * std::mem::size_of::<f32>();
+        let mask = nodes * IN_DIM * std::mem::size_of::<bool>();
+        let cbsr = nodes * Cbsr::row_bytes_of(OUT_DIM, K);
+        assert_eq!(kept, input + mask + cbsr, "{nodes} rows, {arch:?}");
 
         let dx = conv.backward(&ctx, &dy, true, &mut None).unwrap();
         drop((y, dx));
         assert_eq!(
             LIVE.load(Ordering::Relaxed),
             start,
-            "{arch:?}: kept after backward"
+            "{nodes} rows, {arch:?}: kept after backward"
         );
     }
 }
